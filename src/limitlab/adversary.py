@@ -55,6 +55,15 @@ class _Totality(Exception):
         self.view = view
 
 
+class _Cycle(Exception):
+    """A session value was asked for again while it was being computed, so
+    the search defining it cannot end."""
+
+    def __init__(self, cycle: list[int]) -> None:
+        super().__init__(f"value {cycle[-1]} needs itself via {cycle!r}")
+        self.cycle = cycle
+
+
 @dataclass(frozen=True)
 class Budgets:
     horizon: int = 60
@@ -496,6 +505,7 @@ class TotalPsdSession:
         self.registry.bind(self._e_prime, Lazy("totalpsd-e'", self._enum_e_prime,
                                                self._decide_e_prime))
         self._p: dict[int, bool] = {}
+        self._computing: list[int] = []
         self._t: dict[int, int | None] = {}
         self._payload_registered: set[int] = set()
         self.learner = _resolve_learner(self, learner, "Psd")
@@ -542,14 +552,25 @@ class TotalPsdSession:
         return self._t[x]
 
     def predicate(self, i: int) -> bool:
-        """P(i): the learner changes its mind when a(i) arrives."""
+        """P(i): the learner changes its mind when a(i) arrives.
+
+        Raises _Cycle when computing P(i) needs P(i) itself, as when the
+        learner answers a(i) with W_e, whose membership is defined by P.
+        """
         if i not in self._p:
-            ti = self.singleton_time(self.a(i))
-            if ti is None:
-                raise _Totality(("singleton never learned", self.a(i)))
-            before = self._call(self.prefix_content(i), ti + i)
-            after = self._call(self.prefix_content(i + 1), ti + i + 1)
-            self._p[i] = before != after
+            if i in self._computing:
+                start = self._computing.index(i)
+                raise _Cycle(self._computing[start:] + [i])
+            self._computing.append(i)
+            try:
+                ti = self.singleton_time(self.a(i))
+                if ti is None:
+                    raise _Totality(("singleton never learned", self.a(i)))
+                before = self._call(self.prefix_content(i), ti + i)
+                after = self._call(self.prefix_content(i + 1), ti + i + 1)
+                self._p[i] = before != after
+            finally:
+                self._computing.pop()
         return self._p[i]
 
     def _enum_e(self, budget: int) -> frozenset[int]:
@@ -646,6 +667,15 @@ def totalpsd_diagnose(session: TotalPsdSession, goal: int) -> WitnessReport:
         return WitnessReport(
             session.theorem, TOTALITY_VIOLATED,
             evidence=[{"input": repr(exc.view)}],
+            budgets=b.to_json(), learner=session.learner.name)
+    except _Cycle as exc:
+        i = exc.cycle[-1]
+        return WitnessReport(
+            session.theorem, BUDGET_EXHAUSTED,
+            evidence=[{"stage": "mind-change predicate",
+                       "predicate_cycle": exc.cycle,
+                       "element": session.a(i),
+                       "reason": f"computing P({i}) needs P({i}) itself"}],
             budgets=b.to_json(), learner=session.learner.name)
 
 

@@ -11,7 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hypospace import NO, NOT_DECIDABLE, YES, Index, Registry, _LangEqual
+from .hypospace import (
+    NO,
+    NOT_DECIDABLE,
+    Decidable,
+    Finite,
+    Index,
+    LangEqual,
+    Lazy,
+    Registry,
+    descriptor_decides,
+)
 from .learnkit import Learner, LearningSequence, run, star
 from .textkit import Text, insertion_text, union_with_element
 
@@ -115,7 +125,7 @@ def check_bc(registry: Registry, seq: LearningSequence, target,
              budget: int, bound: int) -> Verdict:
     """Semantic convergence: a cofinite tail of correct hypotheses.  Padding
     changes never refute."""
-    results: list[_LangEqual | None] = []
+    results: list[LangEqual | None] = []
     for entry in seq:
         results.append(None if entry is None else
                        registry.lang_equal(entry, target, budget, bound))
@@ -141,7 +151,12 @@ def check_bc(registry: Registry, seq: LearningSequence, target,
 def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
                        target_decide, allow_budget_witness: bool):
     """Shared scan for SMon/Mon.  ``target_decide`` restricts witness
-    elements (None for SMon).  Returns (witness, all_exact, gaps)."""
+    elements (None for SMon).  Returns (witness, all_exact, gaps).
+
+    Each run's hypothesis is checked for exactness once, after its own row
+    of the scan; ``all_exact`` is therefore complete only when the scan
+    ends without returning a witness early.
+    """
     runs = _runs(seq)
     all_exact = True
     gaps = 0
@@ -155,8 +170,6 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
             pos_m, hyp_m = runs[b]
             if hyp_m is None or hyp_m == hyp_n:
                 continue
-            if not registry.is_exact(hyp_m):
-                all_exact = False
             for x in candidates:
                 if target_decide is not None:
                     keep = target_decide(x)
@@ -210,8 +223,6 @@ def check_mon(registry: Registry, seq: LearningSequence, text: Text,
         known = _desc_known(desc, budget)
         target_decide = lambda x: True if x in known else None
     else:
-        from .hypospace import descriptor_decides
-
         target_decide = lambda x: descriptor_decides(desc, x)
     witness, all_exact, gaps = _monotonicity_scan(
         registry, seq, budget, target_decide, allow_budget_witness)
@@ -229,14 +240,10 @@ def check_mon(registry: Registry, seq: LearningSequence, text: Text,
 
 
 def _desc_exact(desc) -> bool:
-    from .hypospace import Decidable, Finite
-
     return isinstance(desc, (Decidable, Finite))
 
 
 def _desc_known(desc, budget: int) -> frozenset[int]:
-    from .hypospace import Lazy
-
     if isinstance(desc, Lazy):
         return desc.generate(budget)
     return frozenset()

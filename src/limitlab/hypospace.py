@@ -4,7 +4,9 @@ bind) registration for self-referential constructions.
 
 An index is a tagged int (see :mod:`limitlab.coding`).  FIN and PAD codes
 resolve structurally; REG and PROG codes resolve through a :class:`Registry`.
-Anything else denotes the empty language.
+Anything else denotes the empty language.  Each registry memoizes the
+descriptors it decodes from FIN and PAD codes, so a code is decoded once per
+registry however often it is enumerated or decided.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class _PayloadRecord:
 
 
 @dataclass
-class _LangEqual:
+class LangEqual:
     """Result of a bounded language-equality check."""
 
     kind: str  # "confirmed" | "refuted-extra" | "refuted-missing" | "inconclusive"
@@ -180,6 +182,7 @@ class Registry:
         self._halting: dict[Index, Callable[[], int | None]] = {}
         self._halting_cache: dict[Index, int | None] = {}
         self._join_cache: dict[tuple[Index, frozenset[int]], Index] = {}
+        self._structural: dict[Index, Finite | PadOf] = {}
 
     # -- allocation ------------------------------------------------------
 
@@ -253,18 +256,24 @@ class Registry:
     # -- resolution ------------------------------------------------------
 
     def descriptor(self, e: Index) -> Descriptor | None:
+        d = self._structural.get(e)
+        if d is not None:
+            return d
         try:
             tag, payload = decode(e)
         except ValueError:
             return None
+        if tag is Tag.REG:
+            return self._bindings.get(payload)
         if tag is Tag.FIN:
-            return Finite(decode_set(payload))
-        if tag is Tag.PAD:
+            d = Finite(decode_set(payload))
+        elif tag is Tag.PAD:
             base, extras_code = unpair(payload)
-            return PadOf(base, decode_list(extras_code))
-        if tag in (Tag.REG, Tag.PROG):
-            return self._bindings.get(payload) if tag is Tag.REG else None
-        return None
+            d = PadOf(base, decode_list(extras_code))
+        else:
+            return None
+        self._structural[e] = d
+        return d
 
     def enumerate(self, e: Index, budget: int) -> frozenset[int]:
         """Deterministic, budget-monotone enumeration of W_e."""
@@ -329,7 +338,7 @@ class Registry:
     # -- bounded equality ------------------------------------------------
 
     def lang_equal(self, e: Index, target: Descriptor, budget: int,
-                   bound: int) -> _LangEqual:
+                   bound: int) -> LangEqual:
         """Compare W_e against a decidable target up to the element bound.
 
         A refutation is exact evidence; Confirmed means no discrepancy was
@@ -348,22 +357,22 @@ class Registry:
         enumerated = self.enumerate(e, budget)
         for x in sorted(enumerated):
             if not t_decide(x):
-                return _LangEqual("refuted-extra", x)
+                return LangEqual("refuted-extra", x)
         for x in t_elems:
             if x in enumerated:
                 continue
             d = self.decide(e, x)
             if d is NO:
-                return _LangEqual("refuted-missing", x)
+                return LangEqual("refuted-missing", x)
             if d is NOT_DECIDABLE:
-                return _LangEqual("inconclusive", x,
-                                  reason="membership undecided within budget")
+                return LangEqual("inconclusive", x,
+                                 reason="membership undecided within budget")
         if not self.is_exact(e):
-            return _LangEqual("inconclusive",
-                              reason="hypothesis only semi-decidable")
+            return LangEqual("inconclusive",
+                             reason="hypothesis only semi-decidable")
         if budget < bound:
-            return _LangEqual("inconclusive", reason="budget below bound")
-        return _LangEqual("confirmed")
+            return LangEqual("inconclusive", reason="budget below bound")
+        return LangEqual("confirmed")
 
 
 def descriptor_elements(d: Descriptor, limit: int) -> list[int]:

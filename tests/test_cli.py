@@ -107,6 +107,16 @@ def test_adversary_budget_flags(capsys):
     assert report["budgets"]["search_bound"] == 30
 
 
+def test_adversary_totalpsd_predicate_cycle_is_inconclusive(capsys):
+    # thm6 answers a(0) with the session's own W_e, whose membership is
+    # defined by P(0): computing P(0) would need P(0).
+    code, report = run_json(capsys, "adversary", "totalpsd", "--learner",
+                            "thm6", "--goal", "50")
+    assert code == 3
+    assert report["variant"] == "BudgetExhausted"
+    assert report["evidence"][0]["predicate_cycle"] == [0, 0]
+
+
 def test_relations_full_dump(capsys):
     code, dump = run_json(capsys, "relations")
     classes = [set(c) for c in dump["collapse_classes"]]

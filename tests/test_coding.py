@@ -17,7 +17,7 @@ from limitlab.coding import (
     triple,
     unpair,
 )
-from oracles import pair_by_search
+from oracles import decode_list_by_pairs, pair_by_search
 
 nats = st.integers(min_value=0, max_value=10**18)
 
@@ -88,6 +88,20 @@ def test_list_code_empty_is_zero():
 @given(st.integers(min_value=0, max_value=10**9))
 def test_decode_list_total(code):
     decode_list(code)  # must never raise
+
+
+# Codes built from digit pairs hit terminators, malformed pairs (10) and a
+# dangling last bit far more often than uniform ints do.
+pair_streams = st.builds(
+    lambda pairs, tail: int("1" + "".join(pairs) + tail, 2),
+    st.lists(st.sampled_from(("00", "11", "01", "10")), max_size=80),
+    st.sampled_from(("", "0", "1")))
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=2**700), pair_streams,
+                 st.lists(nats, max_size=12).map(encode_list)))
+def test_decode_list_matches_pairwise_reference(code):
+    assert decode_list(code) == decode_list_by_pairs(code)
 
 
 @given(st.frozensets(nats, max_size=8))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from limitlab.canonical import Workbench
+from limitlab.canonical import Workbench, always_change
 from limitlab.criteria import (
     InvalidWitnessError,
     MonWitness,
@@ -15,7 +15,8 @@ from limitlab.criteria import (
 )
 from limitlab.hypospace import Finite, Registry, ind, pad
 from limitlab.learnkit import g_learner, run, star
-from limitlab.textkit import canonical_text, finite_text
+from limitlab.textkit import PAUSE, canonical_text, content, finite_text
+from oracles import first_violation
 
 
 @pytest.fixture
@@ -162,9 +163,41 @@ def test_mon_from_smon_identity_when_element_present(wb):
     text = finite_text((0, 6, 2), Finite(frozenset({0, 2, 6})))
     h = g_learner(lambda s: ind({6}) if len(s) < 2 else ind({0}))
     surgered = mon_from_smon_witness(text, MonWitness(1, 2, 6), h, wb.registry)
-    from limitlab.textkit import content
-
     assert content(surgered.prefix(6)) == content(text.prefix(6))
+
+
+# Thirty items with repeats and pauses; at horizon 40 the text ends in pauses.
+PREFIX_30 = (5, 2, 6, 10, 0, 1, 8, 1, 5, 9, 0, 8, 3, 0, 1, 6, 6, 1, PAUSE, 1,
+             8, 6, 0, 9, 1, PAUSE, 10, 10, 9, 0)
+
+
+def _drops_late(sigma):
+    """Guesses the content plus 99 (never in the text) up to length 11,
+    then drops 99, and drops 5 (the text's first item) from length 25."""
+    guess = set(content(sigma)) | ({99} if len(sigma) < 12 else set())
+    return ind(guess - ({5} if len(sigma) >= 25 else set()))
+
+
+@pytest.mark.parametrize("learner", ["always-change", "thm3", "thm4",
+                                     "drops-late"])
+def test_monotonicity_scan_matches_all_pairs_oracle(learner):
+    wb = Workbench()
+    h = {"always-change": always_change, "thm3": wb.thm3_learner,
+         "thm4": wb.thm4_learner,
+         "drops-late": lambda: g_learner(_drops_late)}[learner]()
+    text = finite_text(PREFIX_30)
+    seq = run(star(h), text, 40, 500)
+    elements = text.content_descriptor.elements
+    for verdict, keep in ((check_smon(wb.registry, seq, 500), None),
+                          (check_mon(wb.registry, seq, text, 500),
+                           lambda x: x in elements)):
+        expected = first_violation(wb.registry, seq, 500, keep)
+        if expected is None:
+            assert verdict.confirmed
+        else:
+            assert verdict.refuted and verdict.witness.tier == "exact"
+            w = verdict.witness
+            assert (w.n, w.m, w.x) == expected
 
 
 # -- global variants --------------------------------------------------------

@@ -48,6 +48,21 @@ def test_pad_delegates_and_unpads(registry):
     assert unpad(padded, 2) == 0
 
 
+@pytest.mark.parametrize("code", [ind({3, 1, 4}), ind(()),
+                                  pad(ind({2, 9}), [7, 0]),
+                                  pad(pad(ind({5}), [1]), [2, 3])])
+def test_structural_descriptor_decoded_once(code):
+    registry = Registry()
+    first = registry.descriptor(code)
+    assert first == Registry().descriptor(code)
+    assert registry.descriptor(code) is first
+    for x in range(12):
+        assert registry.decide(code, x) is Registry().decide(code, x)
+    for b in (0, 20):
+        assert registry.enumerate(code, b) == Registry().enumerate(code, b)
+    assert registry.is_exact(code)
+
+
 def test_pad_injective():
     codes = {pad(ind({1}), [k]) for k in range(20)}
     codes |= {pad(ind({k}), [0]) for k in range(20)}

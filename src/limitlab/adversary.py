@@ -13,7 +13,7 @@ import json
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
-from .coding import Tag, encode, pair, tag_of, unpair
+from .coding import Tag, components, encode, pair, tag_of, triple, unpair
 from .hypospace import (
     NO,
     NOT_DECIDABLE,
@@ -708,8 +708,6 @@ class SdSession:
         return self._probe
 
     def element(self, i: int) -> int:
-        from .coding import triple
-
         return triple(self._e, self._probe, i)
 
     def probe_set(self, j: int) -> frozenset[int]:
@@ -749,8 +747,6 @@ class SdSession:
         return frozenset(out)
 
     def _decide_e(self, x: int) -> Decision:
-        from .coding import components
-
         e, p, i = components(x)
         if e != self._e or p != self._probe:
             return NO

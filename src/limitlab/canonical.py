@@ -17,6 +17,7 @@ from .hypospace import (
     Registry,
     ind,
     pad,
+    unpad,
 )
 from .learnkit import Learner, g_learner, psd_learner, sd_learner
 from .textkit import PAUSE, SequencePrefix, content, first
@@ -82,16 +83,12 @@ class Workbench:
                 if v is None:
                     return None
                 try:
-                    from .hypospace import unpad
-
                     marker = unpad(v, 2)
                 except Exception:
                     return None
                 if marker not in (1, 2):
                     return None
                 payloads[x] = (v, marker)
-            from .hypospace import unpad
-
             firsts = {unpad(v, 1) for v, _ in payloads.values()}
             if len(firsts) == 1:
                 return next(iter(firsts))
@@ -106,20 +103,20 @@ class Workbench:
     def thm6_learner(self) -> Learner:
         """Partially set-driven, total: treats elements as three-component
         codes and consults the halting probe of the shared middle component
-        for the sequence length many steps."""
+        for the sequence length many steps.  The naturals are the answer as
+        soon as two elements disagree in their first or middle component."""
         registry = self.registry
 
         def h(view: tuple[frozenset[int], int]) -> Index:
             d, t = view
             if not d:
                 return self.p0
-            decoded = {x: components(x) for x in d}
-            firsts = {c[0] for c in decoded.values()}
-            seconds = {c[1] for c in decoded.values()}
-            if len(firsts) > 1 or len(seconds) > 1:
-                return self.p2
-            e = next(iter(firsts))
-            p = next(iter(seconds))
+            elements = iter(d)
+            e, p, _ = components(next(elements))
+            for x in elements:
+                e_x, p_x, _ = components(x)
+                if e_x != e or p_x != p:
+                    return self.p2
             if not registry.halts_within(p, t):
                 return e
             return registry.join(e, d)
@@ -142,23 +139,32 @@ def aux_flags(sigma: SequencePrefix) -> AuxFlags:
     """Each flag changes its value at most once along prefix extension:
     w flips when the first non-zero element arrives, x when the content
     reaches two elements, y/z record the first element whose second coding
-    component is non-zero/zero respectively."""
-    c = content(sigma)
-    w = 0 if c <= {0} else 1
-    x = 0 if len(c) <= 1 else 1
-    y = 0
-    z = 0
-    y_found = False
-    z_found = False
+    component is non-zero/zero respectively.
+
+    One pass over the prefix, stopping once y and z are both found: the y
+    element is non-zero and differs from the z element, so w and x are
+    fixed by then too."""
+    w = x = y = z = 0
+    y_found = z_found = False
+    first_element = None
     for item in sigma:
         if item == PAUSE:
             continue
-        if not y_found and proj2(item) != 0:
-            y = item
-            y_found = True
-        if not z_found and proj2(item) == 0:
+        if item != 0:
+            w = 1
+        if first_element is None:
+            first_element = item
+        elif item != first_element:
+            x = 1
+        if proj2(item) != 0:
+            if not y_found:
+                y = item
+                y_found = True
+        elif not z_found:
             z = item  # the element 0 pins z at 0
             z_found = True
+        if y_found and z_found:
+            break
     return AuxFlags(w, x, y, z)
 
 
@@ -296,6 +302,10 @@ class RelationMap:
                 self._class_of[node] = cls
         for node in self.nodes:
             self._class_of.setdefault(node, frozenset({node}))
+        for lo, hi, kind in self.edges:
+            same = self._class_of.get(lo, lo) == self._class_of.get(hi, hi)
+            if kind == STRICT and same:
+                raise ValueError(f"strict edge {lo} -> {hi} inside one collapse class")
 
     def class_of(self, node: str) -> frozenset[str]:
         if node not in self.nodes:

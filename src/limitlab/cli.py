@@ -213,7 +213,7 @@ def cmd_learn(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
     text = resolve_text(args.text, workbench)
     horizon = _setting(args, file_cfg, "horizon")
     budget = _setting(args, file_cfg, "enum_budget")
-    seq = run(star(learner), text, horizon, budget)
+    seq = run(learner, text, horizon, budget)
     _emit({
         "learner": args.learner,
         "text": args.text,
@@ -245,14 +245,14 @@ def cmd_check(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
             raise ConfigError("check needs --trace or both --learner and --text")
         learner = resolve_learner(args.learner, workbench)
         text = resolve_text(args.text, workbench)
-        seq = run(star(learner), text, horizon, budget)
+        seq = run(learner, text, horizon, budget)
     registry = workbench.registry
     if args.criterion in ("ex", "bc"):
         if not args.target:
             raise ConfigError(f"--target is required for {args.criterion}")
         target = resolve_descriptor(args.target, workbench)
         checker = check_ex if args.criterion == "ex" else check_bc
-        verdict = checker(registry, seq, target, budget, bound)
+        verdict = checker(registry, seq, text, target, budget, bound)
     elif args.criterion == "smon":
         verdict = check_smon(registry, seq, budget)
     else:

@@ -21,9 +21,10 @@ from .hypospace import (
     Lazy,
     Registry,
     descriptor_decides,
+    descriptor_elements,
 )
 from .learnkit import Learner, LearningSequence, run, star
-from .textkit import Text, insertion_text, union_with_element
+from .textkit import Text, content, insertion_text, union_with_element
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -90,13 +91,31 @@ def _runs(seq: LearningSequence) -> list[tuple[int, Index | None]]:
 # --------------------------------------------------------------------------
 # Convergence criteria
 
-def check_ex(registry: Registry, seq: LearningSequence, target,
+def _first_unshown(text: Text, horizon: int, target, bound: int) -> int | None:
+    """The first target element up to the bound (every element of a finite
+    target) that the text's first ``horizon`` items do not show, or None."""
+    limit = min(bound, target.bound) if isinstance(target, Decidable) else bound
+    shown = content(text.prefix(horizon))
+    return next((x for x in descriptor_elements(target, limit) if x not in shown),
+                None)
+
+
+def _cut_short(criterion: str, x: int, evidence: dict) -> Verdict:
+    return Verdict(criterion, INCONCLUSIVE,
+                   reason=f"horizon ends before target element {x} is shown",
+                   evidence={**evidence, "unshown": x})
+
+
+def check_ex(registry: Registry, seq: LearningSequence, text: Text, target,
              budget: int, bound: int) -> Verdict:
     """Syntactic convergence to one correct index.
 
     An undefined entry is a failure.  A sequence still moving at the final
     entry is refuted as unstable when it shows repeated mind changes, and
     inconclusive when the horizon simply cut a single late change short.
+    An incorrect final hypothesis refutes only once the text has shown
+    every target element up to the bound; before that the horizon may
+    have cut a mind change short, and the verdict is inconclusive.
     """
     if any(entry is None for entry in seq):
         pos = seq.index(None)
@@ -111,20 +130,24 @@ def check_ex(registry: Registry, seq: LearningSequence, target,
         return Verdict("ex", INCONCLUSIVE, reason="horizon exhausted")
     final = seq[-1]
     eq = registry.lang_equal(final, target, budget, bound)
+    evidence = {"final": final, "lang_equal": eq.to_json()}
     if eq.confirmed:
-        return Verdict("ex", CONFIRMED, n0=n0,
-                       evidence={"final": final, "lang_equal": eq.to_json()})
+        return Verdict("ex", CONFIRMED, n0=n0, evidence=evidence)
     if eq.refuted:
+        unshown = _first_unshown(text, len(seq) - 1, target, bound)
+        if unshown is not None:
+            return _cut_short("ex", unshown, evidence)
         return Verdict("ex", REFUTED, reason="final hypothesis incorrect",
-                       evidence={"final": final, "lang_equal": eq.to_json()})
+                       evidence=evidence)
     return Verdict("ex", INCONCLUSIVE, reason="budget exhausted",
                    evidence={"lang_equal": eq.to_json()})
 
 
-def check_bc(registry: Registry, seq: LearningSequence, target,
+def check_bc(registry: Registry, seq: LearningSequence, text: Text, target,
              budget: int, bound: int) -> Verdict:
     """Semantic convergence: a cofinite tail of correct hypotheses.  Padding
-    changes never refute."""
+    changes never refute, and an incorrect tail refutes only once the text
+    has shown every target element up to the bound."""
     results: list[LangEqual | None] = []
     for entry in seq:
         results.append(None if entry is None else
@@ -132,9 +155,13 @@ def check_bc(registry: Registry, seq: LearningSequence, target,
     bad = [i for i, r in enumerate(results) if r is None or r.refuted]
     last = results[-1]
     if last is None or last.refuted:
+        evidence = {"wrong_positions": bad,
+                    "final": None if last is None else last.to_json()}
+        unshown = _first_unshown(text, len(seq) - 1, target, bound)
+        if unshown is not None:
+            return _cut_short("bc", unshown, evidence)
         return Verdict("bc", REFUTED, reason="tail still incorrect",
-                       evidence={"wrong_positions": bad,
-                                 "final": None if last is None else last.to_json()})
+                       evidence=evidence)
     # Longest suffix of confirmed entries.
     n0 = len(seq)
     while n0 > 0 and results[n0 - 1] is not None and results[n0 - 1].confirmed:
@@ -293,7 +320,7 @@ def check_global(restriction: str, h: Learner, texts: list[Text], horizon: int,
                        reason="vacuous: no texts supplied")
     inconclusive = None
     for i, text in enumerate(texts):
-        seq = run(star(h), text, horizon, budget)
+        seq = run(h, text, horizon, budget)
         if restriction == "smon":
             v = check_smon(registry, seq, budget, allow_budget_witness)
         else:

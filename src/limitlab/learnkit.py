@@ -8,12 +8,21 @@ monotone in the budget.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .hypospace import Index
-from .textkit import SequencePrefix, Text, content, parse_prefix
+from .textkit import (
+    PAUSE,
+    Item,
+    SequencePrefix,
+    Text,
+    content,
+    format_prefix,
+    parse_prefix,
+)
 
 G = "G"
 PSD = "Psd"
@@ -68,8 +77,6 @@ def sd_learner(fn: Callable[..., Index | None], name: str = "sd") -> Learner:
 
 
 def _with_budget(fn: Callable[..., Index | None]) -> Callable[[object, int], Index | None]:
-    import inspect
-
     params = inspect.signature(fn).parameters
     takes_budget = "budget" in params
 
@@ -100,19 +107,41 @@ def star(h: Learner) -> Learner:
     return Learner(G, f"{h.name}*", apply)
 
 
-def apply_to_prefix(h: Learner, prefix: SequencePrefix,
-                    budget: int = DEFAULT_BUDGET) -> Index | None:
-    return h.apply(view_of(h.kind, prefix), budget)
-
-
 LearningSequence = list[Index | None]
 
 
 def run(h: Learner, text: Text, horizon: int,
         budget: int = DEFAULT_BUDGET) -> LearningSequence:
     """Entries 0..horizon: the learner applied to the kind-appropriate view
-    of each prefix of the text."""
-    return [apply_to_prefix(h, text.prefix(i), budget) for i in range(horizon + 1)]
+    of each prefix of the text.
+
+    The text is walked once: each step reads one new item, and the learner
+    is called at every position, whether or not its view changed.  The
+    content frozenset is rebuilt only when a new element arrives, so Sd and
+    Psd views share one frozenset while the content stays the same.
+    """
+    kind, apply = h.kind, h.apply
+    if kind not in (G, PSD, SD):
+        raise ValueError(f"unknown learner kind {kind!r}")
+    items: list[Item] = []
+    seen: set[int] = set()
+    current: frozenset[int] = frozenset()
+    seq: LearningSequence = []
+    for n in range(horizon + 1):
+        if n:
+            x = text.at(n - 1)
+            items.append(x)
+            if x != PAUSE and x not in seen:
+                seen.add(x)
+                current = frozenset(seen)
+        if kind == G:
+            view: object = tuple(items)
+        elif kind == PSD:
+            view = (current, n)
+        else:
+            view = current
+        seq.append(apply(view, budget))
+    return seq
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +162,6 @@ def _normalize_key(kind: str, raw: str, line_no: int) -> str:
                 set_part = ""
             return f"{format_set(parse_set(set_part))};{int(count)}"
         # G: canonical prefix literal
-        from .textkit import format_prefix
-
         return format_prefix(parse_prefix(raw))
     except ValueError as exc:
         raise ParseError(line_no, f"bad key {raw!r}: {exc}") from None
@@ -157,8 +184,6 @@ def table_key(kind: str, view: object) -> str:
     if kind == PSD:
         d, t = view  # type: ignore[misc]
         return f"{format_set(d)};{t}"
-    from .textkit import format_prefix
-
     return format_prefix(view)  # type: ignore[arg-type]
 
 

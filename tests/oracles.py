@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own closed forms: the reachability
 oracle enumerates presentations outright, the pairing oracle inverts by
-linear search, the list-code oracle reads one bit pair at a time, and the
-monotonicity oracle compares every pair of positions.
+linear search, the list-code oracles write and read one bit pair at a time,
+the monotonicity oracle compares every pair of positions, and the run,
+flag and thm6 oracles rebuild everything from the whole prefix or content
+at every step.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from limitlab.coding import components, proj2
 from limitlab.hypospace import NO
+from limitlab.learnkit import G, PSD, SD
 from limitlab.textkit import PAUSE, content
 
 ALPHABET = (0, 1, 2, 3, PAUSE)
@@ -45,6 +49,19 @@ def all_states(max_t: int = MAX_LEN):
     for t in range(max_t + 1):
         for bits in itertools.product((0, 1), repeat=4):
             yield frozenset(i for i, b in enumerate(bits) if b), t
+
+
+def encode_list_by_bits(items) -> int:
+    """Write a list code one binary digit at a time: 0 -> 00, 1 -> 11, and
+    01 after each element, behind a leading 1."""
+    if not items:
+        return 0
+    bits = ["1"]
+    for x in items:
+        for b in format(x, "b"):
+            bits.append("00" if b == "0" else "11")
+        bits.append("01")
+    return int("".join(bits), 2)
 
 
 def decode_list_by_pairs(code: int) -> tuple[int, ...]:
@@ -85,3 +102,41 @@ def first_violation(registry, seq, budget: int, keep=None):
                 if (keep is None or keep(x)) and registry.decide(seq[m], x) is NO:
                     return n, m, x
     return None
+
+
+def run_by_prefixes(h, text, horizon: int, budget: int) -> list:
+    """The learner applied to the view of every prefix, each prefix read
+    from the text afresh."""
+    out = []
+    for n in range(horizon + 1):
+        prefix = tuple(text.at(i) for i in range(n))
+        view = {G: prefix, PSD: (content(prefix), n), SD: content(prefix)}[h.kind]
+        out.append(h.apply(view, budget))
+    return out
+
+
+def aux_flags_by_scan(sigma) -> tuple[int, int, int, int]:
+    """(w, x, y, z) from the whole content and a scan of the whole prefix."""
+    c = content(sigma)
+    w = 0 if c <= {0} else 1
+    x = 0 if len(c) <= 1 else 1
+    elements = [item for item in sigma if item != PAUSE]
+    y = next((item for item in elements if proj2(item) != 0), 0)
+    z = next((item for item in elements if proj2(item) == 0), 0)
+    return w, x, y, z
+
+
+def thm6_by_scan(workbench, view):
+    """The thm6 hypothesis from the components of every element."""
+    d, t = view
+    if not d:
+        return workbench.p0
+    decoded = [components(x) for x in d]
+    firsts = {c[0] for c in decoded}
+    seconds = {c[1] for c in decoded}
+    if len(firsts) > 1 or len(seconds) > 1:
+        return workbench.p2
+    (e,), (p,) = firsts, seconds
+    if not workbench.registry.halts_within(p, t):
+        return e
+    return workbench.registry.join(e, d)

@@ -32,7 +32,7 @@ from limitlab.canonical import (
 )
 from limitlab.coding import decode, encode, pair, proj1, triple, unpair, Tag
 from limitlab.criteria import check_ex, check_mon, check_smon, mon_from_smon_witness
-from limitlab.hypospace import NO, YES, Finite, Registry, ind, pad
+from limitlab.hypospace import NO, YES, Finite, Registry, descriptor_elements, ind, pad
 from limitlab.learnkit import Learner, g_learner, run, star
 from limitlab.textkit import finite_text, canonical_text, content, psd_reachable
 from oracles import all_states, reachable_state_pairs
@@ -103,17 +103,15 @@ def test_criterion_03_thm3_positive(capsys):
             for k in range(26)]
         for name, target in targets:
             texts = [canonical_text(target)]
-            from limitlab.hypospace import descriptor_elements
-
             elements = descriptor_elements(target, 100)
             for seed in range(50):
-                rng = random.Random((name, seed).__hash__())
+                rng = random.Random(f"{name}:{seed}")
                 shuffled = elements[:]
                 rng.shuffle(shuffled)
                 texts.append(finite_text(tuple(shuffled[:60]), target))
             for text in texts:
                 seq = run(star(h), text, 60, 500)
-                assert check_ex(wb.registry, seq, target, 500, 100).confirmed, \
+                assert check_ex(wb.registry, seq, text, target, 500, 100).confirmed, \
                     (name, text.label)
                 assert check_mon(wb.registry, seq, text, 500).confirmed, \
                     (name, text.label)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from limitlab.adversary import Budgets, CoolsepSession
 from limitlab.canonical import (
+    STRICT,
     AuxFlags,
+    RelationMap,
     Workbench,
     always_change,
     aux_flags,
@@ -21,6 +24,7 @@ from limitlab.coding import pair, proj1, triple
 from limitlab.hypospace import Finite, Lazy, ind, pad, unpad
 from limitlab.learnkit import run, star
 from limitlab.textkit import PAUSE, finite_text
+from oracles import aux_flags_by_scan, thm6_by_scan
 
 
 @pytest.fixture
@@ -93,6 +97,33 @@ def test_thm4_row_pair_no_zero_second():
     # 8 = <1,2>, 12 = <2,2>: two elements, no zero second component
     assert thm4_table((8, 12)) == pad(proj1(8), [1, 1, 8, 0])
     assert proj1(8) == 1
+
+
+flag_items = st.one_of(st.integers(0, 40), st.just(PAUSE),
+                       st.builds(pair, st.integers(0, 5), st.integers(0, 5)))
+
+
+@given(st.lists(flag_items, max_size=30).map(tuple))
+def test_aux_flags_match_full_scan(sigma):
+    fl = aux_flags(sigma)
+    assert (fl.w, fl.x, fl.y, fl.z) == aux_flags_by_scan(sigma)
+
+
+small = st.integers(0, 2)
+# Contents sharing their first two components, plus a few strays.
+thm6_contents = st.builds(
+    lambda e, p, steps, strays: frozenset(triple(e, p, i) for i in steps) | strays,
+    small, small, st.lists(st.integers(0, 6), max_size=5),
+    st.frozensets(st.builds(triple, small, small, small), max_size=2))
+
+
+@given(thm6_contents, st.integers(0, 12))
+def test_thm6_matches_full_scan(d, t):
+    benches = [Workbench(), Workbench()]
+    for bench in benches:
+        bench.registry.set_halting(1, 5)  # probe 1 halts at step 5
+    assert benches[0].thm6_learner().apply((d, t), 100) == \
+        thm6_by_scan(benches[1], (d, t))
 
 
 def test_thm4_row_pair_with_zero_second():
@@ -272,6 +303,13 @@ def test_relations_global_collapse_per_operator():
 
 def test_relations_headline_strict_edge():
     assert relations_map().query("Psd-Mon-Bc", "G-Mon-Bc") == "strict-inclusion"
+
+
+def test_relations_reject_strict_edge_inside_class():
+    rel = relations_map()
+    with pytest.raises(ValueError, match="collapse class"):
+        RelationMap(rel.nodes, rel.classes,
+                    rel.edges + [("G-Mon-Ex", "R-G-Mon-Ex", STRICT)])
 
 
 def test_relations_reflexive_query():

@@ -74,6 +74,17 @@ def test_check_ex_confirmed(capsys):
     assert code == 0 and verdict["verdict"] == "confirmed"
 
 
+@pytest.mark.parametrize("criterion", ["ex", "bc"])
+def test_check_cut_short_horizon_inconclusive(capsys, criterion):
+    argv = ("check", "--criterion", criterion, "--learner", "thm3",
+            "--text", "canonical:L201", "--target", "L201")
+    code, verdict = run_json(capsys, *argv, "--horizon", "50")
+    assert code == 3 and verdict["verdict"] == "inconclusive"
+    assert verdict["evidence"]["unshown"] == 100
+    code, verdict = run_json(capsys, *argv, "--horizon", "150")
+    assert code == 0 and verdict["verdict"] == "confirmed"
+
+
 def test_trace_round_trip(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     assert main(["learn", "--learner", "thm3", "--text", "0,2,5",

@@ -17,7 +17,7 @@ from limitlab.coding import (
     triple,
     unpair,
 )
-from oracles import decode_list_by_pairs, pair_by_search
+from oracles import decode_list_by_pairs, encode_list_by_bits, pair_by_search
 
 nats = st.integers(min_value=0, max_value=10**18)
 
@@ -102,6 +102,12 @@ pair_streams = st.builds(
                  st.lists(nats, max_size=12).map(encode_list)))
 def test_decode_list_matches_pairwise_reference(code):
     assert decode_list(code) == decode_list_by_pairs(code)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**700), max_size=12))
+def test_encode_list_matches_bitwise_reference(items):
+    assert encode_list(items) == encode_list_by_bits(items)
+    assert encode_list(tuple(items)) == encode_list_by_bits(items)
 
 
 @given(st.frozensets(nats, max_size=8))

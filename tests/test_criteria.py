@@ -19,6 +19,10 @@ from limitlab.textkit import PAUSE, canonical_text, content, finite_text
 from oracles import first_violation
 
 
+# A text showing the element 1 first, for sequences learning {1}.
+ONE = finite_text((1,))
+
+
 @pytest.fixture
 def wb():
     return Workbench()
@@ -26,14 +30,14 @@ def wb():
 
 def test_ex_constant_sequence(wb):
     seq = [ind({1})] * 5
-    v = check_ex(wb.registry, seq, Finite(frozenset({1})), 100, 100)
+    v = check_ex(wb.registry, seq, ONE, Finite(frozenset({1})), 100, 100)
     assert v.confirmed and v.n0 == 0
 
 
 def test_ex_thm3_on_canonical_l5(wb):
-    seq = run(star(wb.thm3_learner()),
-              canonical_text(wb.odd_class_descriptor(5)), 10)
-    v = check_ex(wb.registry, seq, wb.odd_class_descriptor(5), 500, 100)
+    text = canonical_text(wb.odd_class_descriptor(5))
+    seq = run(star(wb.thm3_learner()), text, 10)
+    v = check_ex(wb.registry, seq, text, wb.odd_class_descriptor(5), 500, 100)
     assert v.confirmed
     assert seq[-1] == wb.p(5)
 
@@ -41,33 +45,57 @@ def test_ex_thm3_on_canonical_l5(wb):
 def test_ex_alternating_padding_refuted(wb):
     e = ind({1})
     seq = [pad(e, [i % 2]) for i in range(8)]
-    v = check_ex(wb.registry, seq, Finite(frozenset({1})), 100, 100)
+    v = check_ex(wb.registry, seq, ONE, Finite(frozenset({1})), 100, 100)
     assert v.refuted
 
 
 def test_ex_undefined_entry_refutes(wb):
-    v = check_ex(wb.registry, [ind({1}), None, ind({1})],
+    v = check_ex(wb.registry, [ind({1}), None, ind({1})], ONE,
                  Finite(frozenset({1})), 100, 100)
     assert v.refuted
 
 
 def test_ex_single_late_change_inconclusive(wb):
     seq = [ind({1})] * 5 + [ind({1, 2})]
-    v = check_ex(wb.registry, seq, Finite(frozenset({1, 2})), 100, 100)
+    v = check_ex(wb.registry, seq, finite_text((1,) * 4 + (2,)),
+                 Finite(frozenset({1, 2})), 100, 100)
     assert v.kind == "inconclusive"
 
 
 def test_bc_alternating_padding_confirmed(wb):
     e = ind({1})
     seq = [pad(e, [i % 2]) for i in range(8)]
-    v = check_bc(wb.registry, seq, Finite(frozenset({1})), 100, 100)
+    v = check_bc(wb.registry, seq, ONE, Finite(frozenset({1})), 100, 100)
     assert v.confirmed
 
 
 def test_bc_wrong_tail_refuted(wb):
     seq = [ind({1}), ind(())]
-    v = check_bc(wb.registry, seq, Finite(frozenset({1})), 100, 100)
+    v = check_bc(wb.registry, seq, ONE, Finite(frozenset({1})), 100, 100)
     assert v.refuted
+
+
+def test_ex_bc_cut_short_inconclusive(wb):
+    # thm3 answers the evens until 201, the last element of L201, arrives.
+    target = wb.odd_class_descriptor(201)
+    text = canonical_text(target)
+    seq = run(wb.thm3_learner(), text, 50)
+    for check in (check_ex, check_bc):
+        v = check(wb.registry, seq, text, target, 500, 100)
+        assert v.kind == "inconclusive"
+        assert v.evidence["unshown"] == 100
+        assert v.reason == "horizon ends before target element 100 is shown"
+
+
+def test_ex_bc_refute_once_target_shown_up_to_bound(wb):
+    # thm3 settles on L1 = {0, 1} on the naturals; the target's elements up
+    # to the bound 100 are all shown from horizon 101 on.
+    text = canonical_text(wb.naturals)
+    for horizon, kind in ((100, "inconclusive"), (101, "refuted")):
+        seq = run(wb.thm3_learner(), text, horizon)
+        for check in (check_ex, check_bc):
+            v = check(wb.registry, seq, text, wb.naturals, 500, 100)
+            assert v.kind == kind, (check.__name__, horizon)
 
 
 def test_ex_confirmed_implies_bc_confirmed(wb):
@@ -77,8 +105,9 @@ def test_ex_confirmed_implies_bc_confirmed(wb):
         noise = [ind(frozenset(rng.sample(range(20), 2)))
                  for _ in range(rng.randrange(3))]
         seq = noise + [ind(target)] * rng.randrange(2, 6)
-        ex = check_ex(wb.registry, seq, Finite(target), 100, 100)
-        bc = check_bc(wb.registry, seq, Finite(target), 100, 100)
+        text = finite_text(tuple(sorted(target)))
+        ex = check_ex(wb.registry, seq, text, Finite(target), 100, 100)
+        bc = check_bc(wb.registry, seq, text, Finite(target), 100, 100)
         if ex.confirmed:
             assert bc.confirmed
 

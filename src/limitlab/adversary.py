@@ -5,6 +5,10 @@ Every session owns a fresh registry, allocates its self-referential indices
 through allocate-then-bind, memoizes all searches, and caps with explicit
 budgets the searches the underlying arguments treat as unbounded.  Reports
 state their bounds rather than claiming the infinite statement.
+
+Session elements are computed once per session: each element family is a
+list that grows on demand, and prefixes, probe sets and the enumerations
+of the session's languages are slices of it.
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ class CoolsepSession:
         self.registry = registry if registry is not None else Registry()
         self.sid = self.registry.new_session_id()
         self._f: dict[int, int | None] = {}
+        self._families: dict[int, list[int]] = {}
         self._family: dict[int, Index] = {}
         self._capped: dict[int, Index] = {}
         self._union_families: dict[frozenset[int], Index] = {}
@@ -139,9 +144,16 @@ class CoolsepSession:
 
     # -- element codes ---------------------------------------------------
 
+    def _family_codes(self, j: int, n: int) -> list[int]:
+        """a_j(0), a_j(1), ...: at least n of them, each computed once."""
+        codes = self._families.setdefault(j, [])
+        for i in range(len(codes), n):
+            codes.append(encode(Tag.PROG, pair(self.sid, pair(j, i))))
+        return codes
+
     def element(self, j: int, i: int) -> int:
         """a_j(i): strictly monotone in i, ranges pairwise disjoint."""
-        return encode(Tag.PROG, pair(self.sid, pair(j, i)))
+        return self._family_codes(j, i + 1)[i]
 
     def decode_element(self, x: int) -> tuple[int, int] | None:
         if tag_of(x) is not Tag.PROG:
@@ -153,7 +165,7 @@ class CoolsepSession:
         return unpair(rest)
 
     def element_prefix(self, j: int, i: int) -> SequencePrefix:
-        return tuple(self.element(j, k) for k in range(i))
+        return tuple(self._family_codes(j, i)[:i])
 
     # -- the overgeneralization search ----------------------------------
 
@@ -163,11 +175,11 @@ class CoolsepSession:
         if j not in self._f:
             found = None
             for i in range(self.budgets.search_bound + 1):
-                hyp = self.learner.apply(
-                    (content(self.element_prefix(j, i)), i),
-                    self.budgets.enum_budget)
+                codes = self._family_codes(j, i + 1)
+                hyp = self.learner.apply((frozenset(codes[:i]), i),
+                                         self.budgets.enum_budget)
                 if hyp is not None and self.registry.member(
-                        hyp, self.element(j, i), self.budgets.enum_budget):
+                        hyp, codes[i], self.budgets.enum_budget):
                     found = i
                     break
             self._f[j] = found
@@ -179,7 +191,7 @@ class CoolsepSession:
         """e_j with W equal to the whole family range(a_j)."""
         if j not in self._family:
             def generate(budget: int, j=j) -> frozenset[int]:
-                return frozenset(self.element(j, i) for i in range(budget + 1))
+                return frozenset(self._family_codes(j, budget + 1)[:budget + 1])
 
             def decide(x: int, j=j) -> Decision:
                 decoded = self.decode_element(x)
@@ -198,7 +210,7 @@ class CoolsepSession:
                 for j in range(k + 1):
                     fj = self.f(j)
                     if fj is not None:
-                        out.update(self.element_prefix(j, fj))
+                        out.update(self._family_codes(j, fj)[:fj])
                 fk = self.f(k)
                 if fk is not None:
                     out.add(self.element(k, fk))
@@ -234,7 +246,7 @@ class CoolsepSession:
             def generate(budget: int, families=families) -> frozenset[int]:
                 out: set[int] = set()
                 for j in sorted(families):
-                    out.update(self.element(j, i) for i in range(budget + 1))
+                    out.update(self._family_codes(j, budget + 1)[:budget + 1])
                 return frozenset(out)
 
             def decide(x: int, families=families) -> Decision:
@@ -251,7 +263,7 @@ class CoolsepSession:
         for j in range(min(budget, self.budgets.search_bound) + 1):
             fj = self.f(j)
             if fj is not None:
-                out.update(self.element_prefix(j, fj))
+                out.update(self._family_codes(j, fj)[:fj])
         return frozenset(out)
 
     def _decide_union(self, x: int) -> Decision:
@@ -276,8 +288,8 @@ class CoolsepSession:
                 yield self.element_prefix(j, fj)
                 j += 1
 
-        lazy = Lazy("coolsep-union", self._enum_union, self._decide_union)
-        return stitched_text(blocks(), content_descriptor=lazy,
+        return stitched_text(blocks(),
+                             content_descriptor=self.registry.descriptor(self._e),
                              label="coolsep-witness")
 
 
@@ -507,7 +519,7 @@ class TotalPsdSession:
         self._p: dict[int, bool] = {}
         self._computing: list[int] = []
         self._t: dict[int, int | None] = {}
-        self._payload_registered: set[int] = set()
+        self._codes: list[int] = []
         self.learner = _resolve_learner(self, learner, "Psd")
 
     @property
@@ -518,21 +530,27 @@ class TotalPsdSession:
     def e_prime(self) -> Index:
         return self._e_prime
 
-    def a(self, i: int) -> int:
-        """Strictly monotone element family; each element carries a program
-        payload announcing which of the paired languages it belongs to."""
-        code = encode(Tag.PROG, pair(self.sid, i))
-        if i not in self._payload_registered:
-            self._payload_registered.add(i)
+    def _elements(self, n: int) -> list[int]:
+        """a(0), a(1), ...: at least n of them, each computed once and its
+        payload registered when it is first computed."""
+        codes = self._codes
+        for i in range(len(codes), n):
+            code = encode(Tag.PROG, pair(self.sid, i))
+            codes.append(code)
             self.registry.set_payload(
                 code,
                 lambda i=i: pad(self._e, [1]) if self.predicate(i)
                 else pad(self._e_prime, [2]),
                 cost=i)
-        return code
+        return codes
+
+    def a(self, i: int) -> int:
+        """Strictly monotone element family; each element carries a program
+        payload announcing which of the paired languages it belongs to."""
+        return self._elements(i + 1)[i]
 
     def prefix_content(self, i: int) -> frozenset[int]:
-        return frozenset(self.a(j) for j in range(i))
+        return frozenset(self._elements(i)[:i])
 
     def _call(self, d: frozenset[int], t: int) -> Index:
         hyp = self.learner.apply((d, t), self.budgets.enum_budget)
@@ -577,7 +595,8 @@ class TotalPsdSession:
         out: set[int] = set()
         cap = min(budget, self.budgets.mind_change_goal + 1)
         for i in range(cap + 1):
-            if not all(self.predicate(j) for j in range(i + 1)):
+            # P(0..i-1) held at the earlier steps.
+            if not self.predicate(i):
                 break
             out.add(self.a(i))
         return frozenset(out)
@@ -592,7 +611,8 @@ class TotalPsdSession:
         out: set[int] = set()
         cap = min(budget, self.budgets.mind_change_goal + 1)
         for i in range(cap + 1):
-            if not all(self.predicate(j) for j in range(i)):
+            # P(0..i-2) held at the earlier steps.
+            if i and not self.predicate(i - 1):
                 break
             out.add(self.a(i))
         return frozenset(out)
@@ -695,6 +715,7 @@ class SdSession:
         self.registry.bind(self._e, Lazy("sd-e", self._enum_e, self._decide_e))
         self._probe = encode(Tag.PROG, pair(self.sid, 0))
         self.registry.set_halting(self._probe, self._halt_step)
+        self._codes: list[int] = []
         self._answers: dict[int, Index] = {}
         self._repeat: int | None | bool = False  # False = not yet computed
         self.learner = _resolve_learner(self, learner, "Sd")
@@ -707,11 +728,19 @@ class SdSession:
     def halting_probe(self) -> int:
         return self._probe
 
+    def _elements(self, n: int) -> list[int]:
+        """<e, probe, 0>, <e, probe, 1>, ...: at least n of them, each
+        computed once."""
+        codes = self._codes
+        for i in range(len(codes), n):
+            codes.append(triple(self._e, self._probe, i))
+        return codes
+
     def element(self, i: int) -> int:
-        return triple(self._e, self._probe, i)
+        return self._elements(i + 1)[i]
 
     def probe_set(self, j: int) -> frozenset[int]:
-        return frozenset(self.element(i) for i in range(j + 1))
+        return frozenset(self._elements(j + 1)[:j + 1])
 
     def answer(self, j: int) -> Index:
         if j not in self._answers:
@@ -741,7 +770,8 @@ class SdSession:
         out: set[int] = set()
         cap = min(budget, self.budgets.search_bound)
         for i in range(cap + 1):
-            if any(self.answer(j) == self.answer(j + 1) for j in range(i + 1)):
+            # Answers 0..i differed pairwise at the earlier steps.
+            if self.answer(i) == self.answer(i + 1):
                 break
             out.add(self.element(i))
         return frozenset(out)

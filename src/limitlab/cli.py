@@ -38,7 +38,7 @@ from .learnkit import (
     run,
     star,
 )
-from .textkit import Text, canonical_text, finite_text, parse_prefix
+from .textkit import Text, canonical_text, finite_text, parse_element, parse_prefix
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -113,7 +113,8 @@ def resolve_descriptor(spec: str, workbench: Workbench) -> Descriptor:
             raise ConfigError(f"language parameter must be odd: {spec}")
         return workbench.odd_class_descriptor(odd)
     try:
-        return Finite(frozenset(int(part) for part in spec.split(",") if part.strip()))
+        return Finite(frozenset(parse_element(part) for part in spec.split(",")
+                                if part.strip()))
     except ValueError:
         raise ConfigError(f"cannot parse target {spec!r}") from None
 

@@ -46,7 +46,7 @@ def components(z: int) -> tuple[int, int, int]:
     return e, p, i
 
 
-_BASE4_DIGITS = str.maketrans("1-,", "331")
+_BASE4_DIGITS = str.maketrans("1,", "31")
 
 
 def encode_list(items: Sequence[int]) -> int:
@@ -61,12 +61,15 @@ def encode_list(items: Sequence[int]) -> int:
     Read in base 4, the digit pairs 00, 11 and 01 are the digits 0, 3 and
     1, so the code is built in C with one Python-level call per element:
     the elements' binary digits are joined with commas, 1 becomes 3, each
-    comma a terminator 1, and the string is read in base 4.  A minus sign
-    reads as the digit 1.
+    comma a terminator 1, and the string is read in base 4.
+
+    Raises ValueError for a negative element, which has no code.
     """
     if not items:
         return 0
     digits = ",".join(map("{:b}".format, items)) + ","
+    if "-" in digits:
+        raise ValueError("list codes hold non-negative ints only")
     return int("1" + digits.translate(_BASE4_DIGITS), 4)
 
 

@@ -21,6 +21,7 @@ from .textkit import (
     Text,
     content,
     format_prefix,
+    parse_element,
     parse_prefix,
 )
 
@@ -171,7 +172,7 @@ def parse_set(raw: str) -> frozenset[int]:
     raw = raw.strip()
     if not raw or raw == "∅":
         return frozenset()
-    return frozenset(int(part) for part in raw.split(","))
+    return frozenset(parse_element(part) for part in raw.split(","))
 
 
 def format_set(elements: frozenset[int]) -> str:

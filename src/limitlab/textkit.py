@@ -41,6 +41,14 @@ def repeat(x: Item, t: int) -> SequencePrefix:
     return (x,) * t
 
 
+def parse_element(raw: str) -> int:
+    """An element literal: a non-negative int.  Raises ValueError otherwise."""
+    x = int(raw)
+    if x < 0:
+        raise ValueError(f"elements are non-negative, got {x}")
+    return x
+
+
 def parse_prefix(literal: str) -> SequencePrefix:
     """Parse the CLI literal syntax, e.g. ``0,2,#,5``.  Empty string is the
     empty prefix."""
@@ -50,7 +58,7 @@ def parse_prefix(literal: str) -> SequencePrefix:
     items: list[Item] = []
     for raw in literal.split(","):
         raw = raw.strip()
-        items.append(PAUSE if raw == PAUSE else int(raw))
+        items.append(PAUSE if raw == PAUSE else parse_element(raw))
     return tuple(items)
 
 

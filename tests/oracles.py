@@ -3,9 +3,10 @@
 These deliberately avoid the library's own closed forms: the reachability
 oracle enumerates presentations outright, the pairing oracle inverts by
 linear search, the list-code oracles write and read one bit pair at a time,
-the monotonicity oracle compares every pair of positions, and the run,
+the monotonicity oracle compares every pair of positions, the run,
 flag and thm6 oracles rebuild everything from the whole prefix or content
-at every step.
+at every step, and the session element oracles compute every element
+code afresh from its closed form, with their own pairing arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from limitlab.coding import components, proj2
+from limitlab.coding import Tag, components, proj2
 from limitlab.hypospace import NO
 from limitlab.learnkit import G, PSD, SD
 from limitlab.textkit import PAUSE, content
@@ -140,3 +141,22 @@ def thm6_by_scan(workbench, view):
     if not workbench.registry.halts_within(p, t):
         return e
     return workbench.registry.join(e, d)
+
+
+def _cantor(x: int, y: int) -> int:
+    return (x + y) * (x + y + 1) // 2 + y
+
+
+def coolsep_element_by_formula(sid: int, j: int, i: int) -> int:
+    """a_j(i) of the coolsep session with id ``sid``: <PROG, <sid, <j, i>>>."""
+    return _cantor(int(Tag.PROG), _cantor(sid, _cantor(j, i)))
+
+
+def totalpsd_element_by_formula(sid: int, i: int) -> int:
+    """a(i) of the totalpsd session with id ``sid``: <PROG, <sid, i>>."""
+    return _cantor(int(Tag.PROG), _cantor(sid, i))
+
+
+def sd_element_by_formula(e: int, probe: int, i: int) -> int:
+    """The i-th probe element of the sd session: <e, <probe, i>>."""
+    return _cantor(e, _cantor(probe, i))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from limitlab.adversary import (
     Budgets,
@@ -21,8 +22,13 @@ from limitlab.canonical import (
     min_consistent,
     set_copier,
 )
-from limitlab.hypospace import NO, YES
+from limitlab.hypospace import NO, NOT_DECIDABLE, YES, ind, pad
 from limitlab.learnkit import Learner, psd_learner, sd_learner
+from oracles import (
+    coolsep_element_by_formula,
+    sd_element_by_formula,
+    totalpsd_element_by_formula,
+)
 
 FAST = Budgets(search_bound=50, mind_change_goal=10, error_goal=5)
 
@@ -97,6 +103,7 @@ def test_coolsep_witness_text_blocks():
     s = coolsep_session(family_overgeneralizer, FAST)
     t = s.witness_text()
     assert t.prefix(3) == (s.element(0, 0), s.element(1, 0), s.element(2, 0))
+    assert t.content_descriptor is s.registry.descriptor(s.union_index())
 
 
 def test_coolsep_diagnose_overgeneralizer():
@@ -270,3 +277,222 @@ def test_reports_serialize_deterministically():
     payload = r1.to_json()
     assert set(payload) == {"theorem", "variant", "evidence", "budgets",
                             "learner"}
+
+
+# -- cached session elements against their closed forms ----------------------
+#
+# Each session keeps its elements in one list that grows on demand; these
+# tests interleave every reader of that list in random orders and at random
+# budgets and compare each answer with the closed-form oracles.
+
+small = st.integers(min_value=0, max_value=12)
+
+
+def _threshold(j: int) -> int:
+    return 1 + (3 * j) % 5
+
+
+def threshold_learner(session):
+    """Answers family j once it has seen _threshold(j) of its elements, so
+    f(j) = _threshold(j) whenever the search bound reaches it."""
+
+    def h(view):
+        d, _t = view
+        families = {session.decode_element(x)[0] for x in d}
+        if len(families) == 1:
+            (j,) = families
+            if len(d) >= _threshold(j):
+                return session.family_index(j)
+        return ind(d)
+
+    return psd_learner(h, name="threshold")
+
+
+coolsep_ops = st.lists(st.one_of(
+    st.tuples(st.just("element"), small, small),
+    st.tuples(st.just("prefix"), small, small),
+    st.tuples(st.just("f"), small),
+    st.tuples(st.just("family"), small, small, small, small, st.booleans()),
+    st.tuples(st.just("capped"), small, small, small, small, st.booleans()),
+    st.tuples(st.just("union"), small, small, small, st.booleans()),
+    st.tuples(st.just("families"), st.frozensets(small, min_size=1, max_size=3),
+              small, small, small, st.booleans()),
+), max_size=12)
+
+
+@given(st.integers(min_value=0, max_value=5), coolsep_ops)
+def test_coolsep_cached_elements_match_closed_form(search_bound, ops):
+    s = coolsep_session(threshold_learner,
+                        Budgets(search_bound=search_bound, enum_budget=8))
+    reg = s.registry
+
+    def a(j, i, foreign=False):
+        return coolsep_element_by_formula(s.sid + foreign, j, i)
+
+    def f(j):
+        return _threshold(j) if _threshold(j) <= search_bound else None
+
+    def first(j, n):
+        return {a(j, i) for i in range(n)}
+
+    def capped(k):
+        out = set().union(*(first(j, f(j)) for j in range(k + 1) if f(j)))
+        return out | ({a(k, f(k))} if f(k) else set())
+
+    for op in ops:
+        kind, args = op[0], op[1:]
+        if kind == "element":
+            assert s.element(*args) == a(*args)
+        elif kind == "prefix":
+            j, i = args
+            assert s.element_prefix(j, i) == tuple(a(j, k) for k in range(i))
+        elif kind == "f":
+            assert s.f(*args) == f(*args)
+        else:
+            *key, budget, xj, xi, foreign = args
+            x = a(xj, xi, foreign)
+            if kind == "family":
+                (j,) = key
+                lazy = reg.descriptor(s.family_index(j))
+                want = first(j, budget + 1)
+                decision = YES if not foreign and xj == j else NO
+            elif kind == "families":
+                (fams,) = key
+                lazy = reg.descriptor(s.families_union_index(fams))
+                want = set().union(*(first(j, budget + 1) for j in fams))
+                decision = YES if not foreign and xj in fams else NO
+            elif kind == "capped":
+                (k,) = key
+                lazy = reg.descriptor(s.capped_index(k))
+                want = capped(k)
+                if foreign or xj > k:
+                    decision = NO
+                elif f(xj) is None:
+                    decision = NOT_DECIDABLE
+                else:
+                    decision = (YES if xi < f(xj) or (xj == k and xi == f(xj))
+                                else NO)
+            else:
+                lazy = reg.descriptor(s.union_index())
+                want = set().union(*(first(j, f(j))
+                                     for j in range(min(budget, search_bound) + 1)
+                                     if f(j)))
+                if foreign:
+                    decision = NO
+                elif f(xj) is None:
+                    decision = NOT_DECIDABLE
+                else:
+                    decision = YES if xi < f(xj) else NO
+            assert lazy.generate(budget) == want
+            assert lazy.decide(x) is decision
+
+
+def sticky_learner(stuck: frozenset[int]):
+    """Drops the elements a(i), i in ``stuck`` (all at least 2), from its
+    answer on any content but a singleton, so P(i) holds iff i is not in
+    ``stuck``."""
+
+    def factory(session):
+        stuck_codes = {totalpsd_element_by_formula(session.sid, i) for i in stuck}
+
+        def h(view):
+            d, _t = view
+            return ind(d if len(d) == 1 else d - stuck_codes)
+
+        return psd_learner(h, name="sticky")
+
+    return factory
+
+
+totalpsd_ops = st.lists(st.one_of(
+    st.tuples(st.just("a"), small),
+    st.tuples(st.just("prefix_content"), small),
+    st.tuples(st.sampled_from(("e", "e_prime")), small, small, st.booleans()),
+), max_size=12)
+
+
+@given(st.frozensets(st.integers(min_value=2, max_value=10), max_size=4),
+       st.integers(min_value=0, max_value=8), totalpsd_ops)
+def test_totalpsd_cached_elements_match_closed_form(stuck, goal, ops):
+    s = totalpsd_session(sticky_learner(stuck), Budgets(mind_change_goal=goal))
+    reg = s.registry
+
+    def a(i, foreign=False):
+        return totalpsd_element_by_formula(s.sid + foreign, i)
+
+    def holds_below(n):
+        return all(j not in stuck for j in range(n))
+
+    seen = set()
+    for kind, *args in ops:
+        if kind == "a":
+            (i,) = args
+            got = {s.a(i)}
+            assert got == {a(i)}
+        elif kind == "prefix_content":
+            (i,) = args
+            got = s.prefix_content(i)
+            assert got == {a(j) for j in range(i)}
+        else:
+            budget, xi, foreign = args
+            # W_e needs P(0..i), W_e' needs P(0..i-1).
+            shift = 1 if kind == "e" else 0
+            lazy = reg.descriptor(s.e if kind == "e" else s.e_prime)
+            got = lazy.generate(budget)
+            assert got == {a(i) for i in range(min(budget, goal + 1) + 1)
+                           if holds_below(i + shift)}
+            assert lazy.decide(a(xi, foreign)) is (
+                YES if not foreign and holds_below(xi + shift) else NO)
+        seen |= got
+    # Every element handed out carries its payload.
+    for i in range(13):
+        if a(i) in seen:
+            assert reg.payload(a(i), budget=i) == (
+                pad(s.e, [1]) if i not in stuck else pad(s.e_prime, [2]))
+
+
+sd_ops = st.lists(st.one_of(
+    st.tuples(st.just("element"), small),
+    st.tuples(st.just("probe_set"), small),
+    st.tuples(st.just("e"), small, small, st.booleans()),
+), max_size=12)
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=8),
+       sd_ops)
+def test_sd_cached_elements_match_closed_form(r, search_bound, ops):
+    """The learner answers min(|D|, r), so answers first repeat at j = r-1."""
+    views = []
+
+    def h(d):
+        views.append(d)
+        return min(len(d), r)
+
+    s = sd_session(sd_learner(h, name="capped-size"),
+                   Budgets(search_bound=search_bound))
+    lazy = s.registry.descriptor(s.e)
+
+    def el(i, foreign=False):
+        return sd_element_by_formula(s.e, s.halting_probe + foreign, i)
+
+    repeat = r - 1 if r - 1 <= search_bound else None
+    for kind, *args in ops:
+        if kind == "element":
+            (i,) = args
+            assert s.element(i) == el(i)
+        elif kind == "probe_set":
+            (j,) = args
+            assert s.probe_set(j) == {el(i) for i in range(j + 1)}
+        else:
+            budget, xi, foreign = args
+            assert lazy.generate(budget) == {
+                el(i) for i in range(min(budget, search_bound) + 1) if i < r - 1}
+            if foreign:
+                decision = NO
+            elif repeat is None:
+                decision = YES if xi <= search_bound else NOT_DECIDABLE
+            else:
+                decision = YES if xi < repeat else NO
+            assert lazy.decide(el(xi, foreign)) is decision
+    # Each answer is asked of the learner once, in the order of the probe sets.
+    assert views == [{el(i) for i in range(j + 1)} for j in range(len(views))]

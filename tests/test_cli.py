@@ -46,6 +46,31 @@ def test_learn_unknown_learner(capsys):
     assert main(["learn", "--learner", "nope", "--text", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--learner", "set-copier", "--text=-5", "--horizon", "1"],
+    ["learn", "--learner", "set-copier", "--text", "0,#,-5"],
+    ["check", "--criterion", "ex", "--learner", "set-copier",
+     "--text", "1,2", "--target=1,-2"],
+    ["check", "--criterion", "ex", "--learner", "set-copier",
+     "--text", "canonical:-2", "--target", "1"],
+    ["enum", "--index", "set:1,-2"],
+])
+def test_negative_elements_are_config_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, key", [("Sd", "-3"), ("Psd", "1,-3;2"),
+                                       ("G", "1,#,-3")])
+def test_table_learner_rejects_negative_elements(capsys, tmp_path, kind, key):
+    tbl = tmp_path / "tbl.txt"
+    tbl.write_text(f"!kind {kind}\n{key} -> 5\n", encoding="utf-8")
+    assert main(["learn", "--learner", f"@{tbl}", "--text", "1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_check_mon_confirmed(capsys):
     code, verdict = run_json(capsys, "check", "--criterion", "mon",
                              "--learner", "thm3", "--text", "canonical:L5",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from limitlab.coding import (
     Tag,
@@ -83,6 +83,14 @@ def test_list_code_round_trip(items):
 def test_list_code_empty_is_zero():
     assert encode_list(()) == 0
     assert decode_list(0) == ()
+
+
+@example([], -5, [])
+@given(st.lists(nats, max_size=6), st.integers(max_value=-1),
+       st.lists(nats, max_size=6))
+def test_encode_list_rejects_negative_elements(before, negative, after):
+    with pytest.raises(ValueError):
+        encode_list([*before, negative, *after])
 
 
 @given(st.integers(min_value=0, max_value=10**9))

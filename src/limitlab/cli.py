@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import adversary as adv
@@ -160,9 +161,12 @@ def resolve_learner(spec: str, workbench: Workbench) -> Learner:
         if raw in ("2N", "evens"):
             return constant_learner(workbench.e2N, kind)
         try:
-            return constant_learner(int(raw), kind)
+            index = int(raw)
         except ValueError:
             raise ConfigError(f"bad constant index {raw!r}") from None
+        if index < 0:
+            raise ConfigError(f"constant index must be non-negative, got {index}")
+        return constant_learner(index, kind)
     raise ConfigError(f"unknown learner {spec!r}")
 
 
@@ -225,6 +229,30 @@ def cmd_learn(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
     return EXIT_OK
 
 
+def _is_nat(value) -> bool:
+    return type(value) is int and value >= 0  # a bool is not an int here
+
+
+def _read_trace(path: str) -> dict:
+    """A saved learn trace: ``text`` and ``learner`` specs, ``entries`` that
+    are non-negative indices or nulls, and an optional non-negative
+    ``budget``."""
+    trace = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(trace, dict):
+        raise ValueError("not a JSON object")
+    for key in ("text", "learner"):
+        if not isinstance(trace[key], str):
+            raise ValueError(f"{key} must be a string")
+    if not isinstance(trace["entries"], list):
+        raise ValueError("entries must be a list")
+    for entry in trace["entries"]:
+        if entry is not None and not _is_nat(entry):
+            raise ValueError(f"entry {entry!r} is not a non-negative index or null")
+    if "budget" in trace and not _is_nat(trace["budget"]):
+        raise ValueError(f"budget {trace['budget']!r} is not a non-negative int")
+    return trace
+
+
 def cmd_check(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
     workbench = Workbench()
     horizon = _setting(args, file_cfg, "horizon")
@@ -232,9 +260,9 @@ def cmd_check(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
     bound = _setting(args, file_cfg, "bound")
     if args.trace:
         try:
-            trace = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+            trace = _read_trace(args.trace)
             text = resolve_text(trace["text"], workbench)
-            seq = [entry for entry in trace["entries"]]
+            seq = trace["entries"]
             budget = trace.get("budget", budget)
             # The trace was produced against a fresh workbench; replaying the
             # learner spec rebuilds any registry-backed hypotheses it used.
@@ -347,7 +375,10 @@ def cmd_enum(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
 # --------------------------------------------------------------------------
 # Argument parsing
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and help text is laid out when it is printed, not here."""
     parser = argparse.ArgumentParser(
         prog="limitlab",
         description="Simulation workbench for learning in the limit.")

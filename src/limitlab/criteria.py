@@ -5,6 +5,13 @@ starred learner into a monotonicity violation.
 
 Verdicts are three-valued: a checker never silently asserts a fact it could
 not establish within its budgets.
+
+A monotonicity witness (n, m, x) is the least in the order of n, then m,
+then x.  When every hypothesis of the run is None or exact, it is found by
+checking each element only up to its first miss, in about (runs) x
+(elements) ``decide`` calls; every other case, and every case that meets
+an undecided membership or content question, takes the scan comparing
+every run with every later run.  Both give the same verdict.
 """
 
 from __future__ import annotations
@@ -180,9 +187,87 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
     """Shared scan for SMon/Mon.  ``target_decide`` restricts witness
     elements (None for SMon).  Returns (witness, all_exact, gaps).
 
-    Each run's hypothesis is checked for exactness once, after its own row
-    of the scan; ``all_exact`` is therefore complete only when the scan
-    ends without returning a witness early.
+    The witness is the least (n, m, x) in the order of n, then m, then x:
+    n and m start runs of equal entries, x is enumerated for the hypothesis
+    of n's run and decided out of the differing hypothesis of m's run.
+
+    When every hypothesis is None or exact, :func:`_first_miss_scan` finds
+    that witness in about (runs) x (elements) ``decide`` calls.  Anything
+    it cannot settle (a hypothesis that is not exact, a ``decide`` that
+    answers NOT_DECIDABLE, an element the content filter cannot place)
+    goes to :func:`_all_pairs_scan`, which compares every run with every
+    later run and alone yields budget-tier witnesses and gaps.
+    """
+    runs = _runs(seq)
+    if all(hyp is None or registry.is_exact(hyp) for _, hyp in runs):
+        try:
+            return _first_miss_scan(registry, runs, budget, target_decide), True, 0
+        except _Undecided:
+            pass
+    return _all_pairs_scan(registry, seq, budget, target_decide,
+                           allow_budget_witness)
+
+
+class _Undecided(Exception):
+    """The first-miss scan met an answer it cannot use."""
+
+
+def _first_miss_scan(registry: Registry, runs: list[tuple[int, Index | None]],
+                     budget: int, target_decide) -> MonWitness | None:
+    """The all-pairs witness for runs of exact hypotheses, found by keeping
+    each element only up to its first miss.
+
+    An exact hypothesis decides every element it enumerates as YES (the
+    contract of ``Registry.is_exact`` and of ``Lazy``).  So an
+    element x can only be missed after a(x), the first run that enumerates
+    it, and the all-pairs witness is the least (a(x), b, x) over elements x
+    and their first misses b.  Elements are checked against each later run
+    until their first miss; once a candidate is held, elements admitted at
+    or after its run cannot beat it and are dropped.
+    """
+    seen: set[int] = set()
+    live: dict[int, tuple[int, Index]] = {}  # x -> (a(x), hypothesis of a(x))
+    best: tuple[int, int, int] | None = None  # (a, b, x) as run numbers
+    for b, (_, hyp_b) in enumerate(runs):
+        if hyp_b is None:
+            continue
+        for x, (a, hyp_a) in list(live.items()):
+            if hyp_b == hyp_a:
+                continue
+            d = registry.decide(hyp_b, x)
+            if d is NOT_DECIDABLE:
+                raise _Undecided
+            if d is NO:
+                del live[x]
+                if best is None or (a, b, x) < best:
+                    best = (a, b, x)
+        if best is not None:
+            live = {x: v for x, v in live.items() if v[0] < best[0]}
+            if not live:
+                break
+            continue
+        for x in registry.enumerate(hyp_b, budget) - seen:
+            seen.add(x)
+            keep = True if target_decide is None else target_decide(x)
+            if keep is None:
+                raise _Undecided
+            if keep:
+                live[x] = (b, hyp_b)
+    if best is None:
+        return None
+    a, b, x = best
+    return MonWitness(runs[a][0], runs[b][0], x)
+
+
+def _all_pairs_scan(registry: Registry, seq: LearningSequence, budget: int,
+                    target_decide, allow_budget_witness: bool):
+    """:func:`_monotonicity_scan` by comparing every run with every later
+    run; the fallback for whatever the first-miss scan cannot settle.
+
+    Each run's hypothesis is checked for exactness after its own row of the
+    scan, so when a witness ends the scan early, ``all_exact`` and ``gaps``
+    cover only the rows before it; the checkers then refute and do not
+    read them.
     """
     runs = _runs(seq)
     all_exact = True

@@ -91,7 +91,8 @@ class JoinOf:
 @dataclass(frozen=True)
 class Lazy:
     """Session-backed language.  ``generate`` must be deterministic and
-    monotone in the budget; ``decide`` may be omitted (semi-decidable)."""
+    monotone in the budget; ``decide`` may be omitted (semi-decidable), and
+    when given it answers YES for every element ``generate`` yields."""
 
     name: str
     generate: Callable[[int], frozenset[int]]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from limitlab.cli import main
+from limitlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,14 @@ def test_table_learner_rejects_negative_elements(capsys, tmp_path, kind, key):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_constant_learner_rejects_negative_index(capsys):
+    assert main(["learn", "--learner", "constant:-5", "--text", "1",
+                 "--horizon", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_check_mon_confirmed(capsys):
     code, verdict = run_json(capsys, "check", "--criterion", "mon",
                              "--learner", "thm3", "--text", "canonical:L5",
@@ -121,6 +129,56 @@ def test_trace_round_trip(capsys, tmp_path):
     replay_code, replay = run_json(
         capsys, "check", "--criterion", "smon", "--trace", str(trace_path))
     assert (direct_code, direct) == (replay_code, replay)
+
+
+GOOD_TRACE = {"learner": "thm3", "text": "0,2,5", "entries": [0, 1], "budget": 500}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("entries", [0, "x"]), ("entries", [0, 2.5]), ("entries", [0, -3]),
+    ("entries", [0, True]), ("entries", "0,1"), ("text", 5), ("learner", None),
+    ("budget", "x"), ("budget", -4), ("budget", True)])
+def test_check_trace_rejects_bad_fields(capsys, tmp_path, key, value):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({**GOOD_TRACE, key: value}), encoding="utf-8")
+    assert main(["check", "--criterion", "smon", "--trace", str(trace_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad trace {trace_path}: ")
+
+
+def test_check_trace_rejects_non_object(capsys, tmp_path):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text("[]", encoding="utf-8")
+    assert main(["check", "--criterion", "smon", "--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad trace {trace_path}: ")
+
+
+def test_check_trace_accepts_null_entries(capsys, tmp_path):
+    trace_path = tmp_path / "trace.json"
+    assert main(["learn", "--learner", "thm3", "--text", "0,2",
+                 "--horizon", "3", "--output", str(trace_path)]) == 0
+    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    trace["entries"][1] = None
+    trace_path.write_text(json.dumps(trace), encoding="utf-8")
+    code, verdict = run_json(capsys, "check", "--criterion", "smon",
+                             "--trace", str(trace_path))
+    assert code == 3 and verdict["reason"] == "undefined entries"
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    out_path = tmp_path / "out.json"
+    learn = ("learn", "--learner", "thm3", "--text", "0", "--horizon", "1")
+    assert main([*learn, "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, trace = run_json(capsys, *learn)
+    assert code == 0 and trace == json.loads(out_path.read_text(encoding="utf-8"))
+    assert main(["check", "--criterion", "nope"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, verdict = run_json(capsys, "check", "--criterion", "smon",
+                             "--learner", "thm3", "--text", "0,2,5")
+    assert code == 1 and verdict["witness"]["x"] == 6
 
 
 def test_adversary_kind_mismatch(capsys):

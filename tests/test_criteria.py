@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from limitlab import criteria
 from limitlab.canonical import Workbench, always_change
+from limitlab.cli import main
 from limitlab.criteria import (
     InvalidWitnessError,
     MonWitness,
@@ -13,7 +16,16 @@ from limitlab.criteria import (
     check_smon,
     mon_from_smon_witness,
 )
-from limitlab.hypospace import Finite, Registry, ind, pad
+from limitlab.hypospace import (
+    NO,
+    YES,
+    Finite,
+    Lazy,
+    Registry,
+    descriptor_decides,
+    ind,
+    pad,
+)
 from limitlab.learnkit import g_learner, run, star
 from limitlab.textkit import PAUSE, canonical_text, content, finite_text
 from oracles import first_violation
@@ -128,6 +140,7 @@ def test_smon_thm3_witness_is_six(wb):
     seq = run(star(wb.thm3_learner()), finite_text((0, 2, 5)), 10)
     v = check_smon(wb.registry, seq, 500)
     assert v.refuted and v.witness.x == 6
+    assert (v.witness.n, v.witness.m, v.witness.tier) == (0, 3, "exact")
 
 
 def test_mon_thm3_confirmed_on_l5_text(wb):
@@ -227,6 +240,114 @@ def test_monotonicity_scan_matches_all_pairs_oracle(learner):
             assert verdict.refuted and verdict.witness.tier == "exact"
             w = verdict.witness
             assert (w.n, w.m, w.x) == expected
+
+
+# Sequences mixing every kind of hypothesis; finite sets are drawn from
+# few elements, so that they often nest, and the budget cuts the decidable
+# languages off at 8.
+SCAN_BUDGET = 8
+small_sets = st.frozensets(st.integers(0, 9), max_size=4)
+hypothesis_specs = st.one_of(
+    st.just(("none",)), st.just(("evens",)), st.just(("naturals",)),
+    st.tuples(st.just("odd"), st.sampled_from([1, 3, 5, 7])),
+    st.tuples(st.just("fin"), small_sets),
+    st.tuples(st.just("pad"), small_sets, st.integers(0, 2)),
+    st.tuples(st.just("lazy"), small_sets),
+    st.tuples(st.just("lazy-exact"), small_sets))
+content_specs = st.one_of(
+    st.just(("evens",)), st.just(("naturals",)),
+    st.tuples(st.just("fin"), small_sets), st.tuples(st.just("lazy"), small_sets))
+
+
+def _hypothesis(wb, spec, lazies):
+    kind, *args = spec
+    if kind == "none":
+        return None
+    if kind in ("evens", "naturals"):
+        return {"evens": wb.e2N, "naturals": wb.p2}[kind]
+    if kind == "odd":
+        return wb.p(args[0])
+    if kind == "fin":
+        return ind(args[0])
+    if kind == "pad":
+        return pad(ind(args[0]), [args[1]])
+    # One index per Lazy language, so that repeats give equal entries.
+    if spec not in lazies:
+        elements = args[0]
+        decide = ((lambda x: YES if x in elements else NO)
+                  if kind == "lazy-exact" else None)
+        lazies[spec] = wb.registry.register(
+            Lazy(kind, lambda budget: elements, decide))
+    return lazies[spec]
+
+
+def _content(wb, spec):
+    kind, *args = spec
+    if kind in ("evens", "naturals"):
+        return {"evens": wb.evens, "naturals": wb.naturals}[kind]
+    if kind == "fin":
+        return Finite(args[0])
+    return Lazy("content", lambda budget, elements=args[0]: elements)
+
+
+def _all_pairs_verdict(check, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "_monotonicity_scan", criteria._all_pairs_scan)
+        return check(*args)
+
+
+@given(st.lists(hypothesis_specs, min_size=1, max_size=8), content_specs)
+@example([("fin", frozenset({1})), ("fin", frozenset({1, 2})),
+          ("fin", frozenset({1})), ("fin", frozenset())], ("naturals",))
+def test_first_miss_scan_matches_all_pairs(specs, content_spec):
+    wb = Workbench()
+    lazies = {}
+    seq = [_hypothesis(wb, spec, lazies) for spec in specs]
+    desc = _content(wb, content_spec)
+    text = finite_text((), desc)
+    keep = ((lambda x: x in desc.generate(SCAN_BUDGET)) if isinstance(desc, Lazy)
+            else (lambda x: descriptor_decides(desc, x)))
+    for allow in (False, True):
+        for check, args, oracle_keep in (
+                (check_smon, (wb.registry, seq, SCAN_BUDGET, allow), None),
+                (check_mon, (wb.registry, seq, text, SCAN_BUDGET, allow), keep)):
+            verdict = check(*args)
+            assert verdict.to_json() == _all_pairs_verdict(check, *args).to_json()
+            if allow:
+                continue
+            expected = first_violation(wb.registry, seq, SCAN_BUDGET, oracle_keep)
+            if expected is None:
+                assert not verdict.refuted
+            else:
+                w = verdict.witness
+                assert verdict.refuted and w.tier == "exact"
+                assert (w.n, w.m, w.x) == expected
+
+
+def _decide_calls(monkeypatch, argv):
+    calls = [0]
+    decide = Registry.decide
+
+    def counted(self, e, x):
+        calls[0] += 1
+        return decide(self, e, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Registry, "decide", counted)
+        assert main(argv) == 0
+    return calls[0]
+
+
+def test_smon_scan_decides_grow_quadratically(monkeypatch, capsys):
+    # always-change changes its mind at every step and never drops an
+    # element: each element is decided once per later run, so doubling the
+    # horizon about quadruples the count (all pairs of runs: about 8x).
+    counts = [_decide_calls(monkeypatch, [
+        "check", "--criterion", "smon", "--learner", "always-change",
+        "--text", "canonical:N", "--horizon", str(horizon)])
+        for horizon in (60, 120)]
+    capsys.readouterr()
+    assert counts[1] <= 5 * counts[0], counts
 
 
 # -- global variants --------------------------------------------------------

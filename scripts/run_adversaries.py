@@ -2,6 +2,9 @@
 """Run every diagonalization session against the sample restricted learners
 and write one JSON report per (session, learner) pair.
 
+Each report holds the bytes that ``limitlab adversary <session> --learner
+<spec> --wrap --goal N --error-goal N --output <file>`` writes.
+
 Usage: python scripts/run_adversaries.py [--out-dir reports] [--goal N]
 """
 
@@ -11,58 +14,20 @@ import argparse
 import json
 from pathlib import Path
 
-from limitlab.adversary import (
-    Budgets,
-    coolsep_diagnose,
-    coolsep_session,
-    gsmon_diagnose,
-    gsmon_session,
-    sd_diagnose,
-    sd_session,
-    totalpsd_diagnose,
-    totalpsd_session,
-)
-from limitlab.canonical import (
-    Workbench,
-    always_change,
-    constant_learner,
-    family_overgeneralizer,
-    min_consistent,
-    set_copier,
-)
-from limitlab.hypospace import ind
-from limitlab.learnkit import Learner
+from limitlab.adversary import SESSIONS, Budgets
+from limitlab.cli import resolve_session_learner
 
-
-def copier_psd() -> Learner:
-    return Learner("Psd", "set-copier^Psd", lambda view, budget: ind(view[0]))
-
-
-def constant_nat(kind: str):
-    def factory(session) -> Learner:
-        return constant_learner(Workbench(session.registry).p2, kind)
-
-    return factory
-
-
-MATRIX = [
-    ("coolsep", coolsep_session, coolsep_diagnose, [
-        ("family-overgeneralizer", family_overgeneralizer),
-        ("set-copier-psd", copier_psd()),
-    ]),
-    ("gsmon", gsmon_session, gsmon_diagnose, [
-        ("always-change", always_change()),
-        ("min-consistent", min_consistent()),
-        ("constant-nat", constant_nat("Psd")),
-    ]),
-    ("totalpsd", totalpsd_session, totalpsd_diagnose, [
-        ("set-copier-psd", copier_psd()),
-        ("constant-nat", constant_nat("Psd")),
-    ]),
-    ("sd", sd_session, sd_diagnose, [
-        ("set-copier", set_copier()),
-        ("constant-nat", constant_nat("Sd")),
-    ]),
+# (session, report label, learner spec)
+PAIRS = [
+    ("coolsep", "family-overgeneralizer", "family-overgeneralizer"),
+    ("coolsep", "set-copier-psd", "set-copier"),
+    ("gsmon", "always-change", "always-change"),
+    ("gsmon", "min-consistent", "min-consistent"),
+    ("gsmon", "constant-nat", "constant:N:Psd"),
+    ("totalpsd", "set-copier-psd", "set-copier"),
+    ("totalpsd", "constant-nat", "constant:N:Psd"),
+    ("sd", "set-copier", "set-copier"),
+    ("sd", "constant-nat", "constant:N"),
 ]
 
 
@@ -76,15 +41,14 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     budgets = Budgets(mind_change_goal=args.goal, error_goal=args.goal)
 
-    for name, make_session, diagnose, learners in MATRIX:
-        for label, learner in learners:
-            session = make_session(learner, budgets)
-            report = diagnose(session, args.goal)
-            path = out_dir / f"{name}-{label}.json"
-            path.write_text(
-                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8")
-            print(f"{name:9s} vs {label:24s} -> {report.variant:22s} {path}")
+    for name, label, spec in PAIRS:
+        run, kind = SESSIONS[name]
+        report = run(resolve_session_learner(spec, True, kind), budgets)
+        path = out_dir / f"{name}-{label}.json"
+        path.write_text(
+            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8")
+        print(f"{name:9s} vs {label:24s} -> {report.variant:22s} {path}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,27 @@ through allocate-then-bind, memoizes all searches, and caps with explicit
 budgets the searches the underlying arguments treat as unbounded.  Reports
 state their bounds rather than claiming the infinite statement.
 
+The protocol, kept by the ``Session`` base class:
+
+- A session class names its ``theorem``, the learner ``kind`` it needs and
+  the ``Budgets`` field that holds its goal (``goal_field``).
+- Constructing a session takes a new session id from its registry, lets the
+  class allocate and bind its languages (``setup``) and only then resolves
+  the learner: a factory is called with the session, so learners that
+  consult the session registry share its indices, and a learner of another
+  kind raises KindMismatchError.
+- The session asks the learner through ``ask``, at the enumeration budget.
+  In a ``total`` session a missing answer violates totality, and
+  ``diagnose(goal)`` then returns a TotalityViolated report; otherwise it
+  returns the report of the class's own ``_diagnose``.  Every report is
+  built by ``report``, which adds the theorem, the budgets and the learner.
+- The session's own elements are PROG codes of (session id, n), written by
+  ``own`` and read back by ``owned``.
+
+``SESSIONS`` maps each session name to ``(run, kind)``: ``run(learner,
+budgets)`` builds a fresh session and diagnoses it at the goal its budgets
+hold.  The CLI, ``scripts/run_adversaries.py`` and the tests read it.
+
 Session elements are computed once per session: each element family is a
 list that grows on demand, and prefixes, probe sets and the enumerations
 of the session's languages are slices of it.
@@ -15,9 +36,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .coding import Tag, components, encode, pair, tag_of, triple, unpair
+from .coding import Tag, components, decode, encode, pair, triple, unpair
 from .hypospace import (
     NO,
     NOT_DECIDABLE,
@@ -30,7 +51,7 @@ from .hypospace import (
     ind,
     pad,
 )
-from .learnkit import Learner
+from .learnkit import PSD, SD, KindMismatchError, Learner
 from .textkit import SequencePrefix, Text, content, stitched_text
 
 # Witness variants.
@@ -47,10 +68,6 @@ DEFINITIVE_VARIANTS = frozenset({
     INFINITE_MIND_CHANGES, WRONG_FOREVER, CONFUSED_PAIR, MONOTONICITY_TRAP,
     FAILS_TO_OVERGENERALIZE, SINGLETON_NOT_LEARNED, TOTALITY_VIOLATED,
 })
-
-
-class KindMismatchError(Exception):
-    pass
 
 
 class _Totality(Exception):
@@ -108,30 +125,110 @@ class WitnessReport:
 LearnerOrFactory = Learner | Callable[["object"], Learner]
 
 
-def _resolve_learner(session, learner: LearnerOrFactory, kind: str) -> Learner:
-    if not isinstance(learner, Learner):
-        learner = learner(session)
-    if learner.kind != kind:
-        raise KindMismatchError(
-            f"{session.theorem} needs a {kind} learner, got {learner.kind}")
-    return learner
+class Session:
+    """What every session shares: its registry, id and learner, the codes
+    of its own elements, the singleton-time search and its reports."""
+
+    theorem = ""
+    kind = PSD
+    goal_field = "mind_change_goal"
+    total = False  # whether a learner that gives no answer violates totality
+
+    def __init__(self, learner: LearnerOrFactory, budgets: Budgets | None = None,
+                 registry: Registry | None = None) -> None:
+        self.budgets = budgets or Budgets()
+        self.registry = registry if registry is not None else Registry()
+        self.sid = self.registry.new_session_id()
+        self._times: dict[int, int | None] = {}
+        self.setup()
+        if not isinstance(learner, Learner):
+            learner = learner(self)
+        if learner.kind != self.kind:
+            raise KindMismatchError(
+                f"{self.theorem} needs a {self.kind} learner, got {learner.kind}")
+        self.learner = learner
+
+    def setup(self) -> None:
+        """Allocate and bind the session's languages.  Runs before the
+        learner is resolved, so their indices come before any that a
+        learner factory allocates."""
+
+    @classmethod
+    def run(cls, learner: LearnerOrFactory, budgets: Budgets) -> WitnessReport:
+        """A fresh session against the learner, diagnosed at the goal the
+        budgets hold in ``goal_field``."""
+        return cls(learner, budgets).diagnose(getattr(budgets, cls.goal_field))
+
+    # -- the learner -----------------------------------------------------
+
+    def ask(self, view: object) -> Index | None:
+        hyp = self.learner.apply(view, self.budgets.enum_budget)
+        if hyp is None and self.total:
+            # Reports show the content as a sorted list.
+            raise _Totality(sorted(view) if self.kind == SD
+                            else (sorted(view[0]), view[1]))
+        return hyp
+
+    def includes(self, hyp: Index | None, x: int) -> bool:
+        """Whether the learner gave a hypothesis and x is in it."""
+        return hyp is not None and self.registry.member(
+            hyp, x, self.budgets.enum_budget)
+
+    def singleton_time(self, x: int) -> int | None:
+        """Least t with x inside the hypothesis on t copies of x; None when
+        no t up to the search bound works."""
+        if x not in self._times:
+            self._times[x] = next(
+                (t for t in range(1, self.budgets.search_bound + 1)
+                 if self.includes(self.ask((frozenset({x}), t)), x)), None)
+        return self._times[x]
+
+    # -- own element codes -----------------------------------------------
+
+    def own(self, n: int) -> int:
+        """The session's n-th PROG code."""
+        return encode(Tag.PROG, pair(self.sid, n))
+
+    def owned(self, x: int) -> int | None:
+        """n when x is ``own(n)``; None for any other code."""
+        try:
+            tag, payload = decode(x)
+        except ValueError:
+            return None
+        if tag is not Tag.PROG:
+            return None
+        sid, n = unpair(payload)
+        return n if sid == self.sid else None
+
+    # -- reports ---------------------------------------------------------
+
+    def report(self, variant: str, **evidence: object) -> WitnessReport:
+        return WitnessReport(self.theorem, variant, evidence=[evidence],
+                             budgets=self.budgets.to_json(),
+                             learner=self.learner.name)
+
+    def diagnose(self, goal: int) -> WitnessReport:
+        try:
+            return self._diagnose(goal)
+        except _Totality as exc:
+            return self.report(TOTALITY_VIOLATED, input=repr(exc.view))
+
+    def _diagnose(self, goal: int) -> WitnessReport:
+        raise NotImplementedError
 
 
 # ==========================================================================
 # Self-learning separation (order of presentation matters for monotone
 # behaviourally correct learners)
 
-class CoolsepSession:
+class CoolsepSession(Session):
     """Element families a_j(i), their overgeneralization times f(j), and the
     languages built from them."""
 
     theorem = "coolsep"
+    goal_field = "error_goal"
 
-    def __init__(self, learner: LearnerOrFactory, budgets: Budgets,
-                 registry: Registry | None = None) -> None:
-        self.budgets = budgets
-        self.registry = registry if registry is not None else Registry()
-        self.sid = self.registry.new_session_id()
+    def setup(self) -> None:
         self._f: dict[int, int | None] = {}
         self._families: dict[int, list[int]] = {}
         self._family: dict[int, Index] = {}
@@ -140,7 +237,6 @@ class CoolsepSession:
         self._e = self.registry.allocate()
         self.registry.bind(self._e, Lazy("coolsep-union", self._enum_union,
                                          self._decide_union))
-        self.learner = _resolve_learner(self, learner, "Psd")
 
     # -- element codes ---------------------------------------------------
 
@@ -148,7 +244,7 @@ class CoolsepSession:
         """a_j(0), a_j(1), ...: at least n of them, each computed once."""
         codes = self._families.setdefault(j, [])
         for i in range(len(codes), n):
-            codes.append(encode(Tag.PROG, pair(self.sid, pair(j, i))))
+            codes.append(self.own(pair(j, i)))
         return codes
 
     def element(self, j: int, i: int) -> int:
@@ -156,13 +252,8 @@ class CoolsepSession:
         return self._family_codes(j, i + 1)[i]
 
     def decode_element(self, x: int) -> tuple[int, int] | None:
-        if tag_of(x) is not Tag.PROG:
-            return None
-        _, payload = unpair(x)
-        sid, rest = unpair(payload)
-        if sid != self.sid:
-            return None
-        return unpair(rest)
+        n = self.owned(x)
+        return None if n is None else unpair(n)
 
     def element_prefix(self, j: int, i: int) -> SequencePrefix:
         return tuple(self._family_codes(j, i)[:i])
@@ -176,10 +267,7 @@ class CoolsepSession:
             found = None
             for i in range(self.budgets.search_bound + 1):
                 codes = self._family_codes(j, i + 1)
-                hyp = self.learner.apply((frozenset(codes[:i]), i),
-                                         self.budgets.enum_budget)
-                if hyp is not None and self.registry.member(
-                        hyp, codes[i], self.budgets.enum_budget):
+                if self.includes(self.ask((frozenset(codes[:i]), i)), codes[i]):
                     found = i
                     break
             self._f[j] = found
@@ -292,68 +380,56 @@ class CoolsepSession:
                              content_descriptor=self.registry.descriptor(self._e),
                              label="coolsep-witness")
 
+    def _diagnose(self, error_goal: int) -> WitnessReport:
+        b = self.budgets
+        wrong: list[dict] = []
+        prefix: list[int] = []
+        j = 0
+        while len(wrong) < error_goal and j <= b.search_bound:
+            fj = self.f(j)
+            if fj is None:
+                return self.report(FAILS_TO_OVERGENERALIZE, family=j,
+                                   search_bound=b.search_bound,
+                                   wrong_positions_so_far=wrong)
+            prefix.extend(self.element_prefix(j, fj))
+            pos = len(prefix)
+            hyp = self.ask((content(prefix), pos))
+            marked = self.element(j, fj)
+            if (self.includes(hyp, marked)
+                    and self.registry.decide(self.union_index(), marked) is NO):
+                wrong.append({"position": pos, "hypothesis": hyp,
+                              "element": marked, "family": j})
+            j += 1
+        if len(wrong) >= error_goal:
+            return self.report(WRONG_FOREVER, text_prefix=list(prefix),
+                               wrong_positions=wrong)
+        return self.report(BUDGET_EXHAUSTED, stage="wrong-position sweep",
+                           wrong_positions=wrong)
+
 
 def coolsep_session(learner: LearnerOrFactory, budgets: Budgets | None = None,
                     registry: Registry | None = None) -> CoolsepSession:
-    return CoolsepSession(learner, budgets or Budgets(), registry)
+    return CoolsepSession(learner, budgets, registry)
 
 
 def coolsep_diagnose(session: CoolsepSession, error_goal: int) -> WitnessReport:
-    b = session.budgets
-    wrong: list[dict] = []
-    prefix: list[int] = []
-    j = 0
-    while len(wrong) < error_goal and j <= b.search_bound:
-        fj = session.f(j)
-        if fj is None:
-            return WitnessReport(
-                session.theorem, FAILS_TO_OVERGENERALIZE,
-                evidence=[{"family": j, "search_bound": b.search_bound,
-                           "wrong_positions_so_far": wrong}],
-                budgets=b.to_json(), learner=session.learner.name)
-        prefix.extend(session.element_prefix(j, fj))
-        pos = len(prefix)
-        hyp = session.learner.apply((content(prefix), pos), b.enum_budget)
-        marked = session.element(j, fj)
-        if (hyp is not None
-                and session.registry.member(hyp, marked, b.enum_budget)
-                and session.registry.decide(session.union_index(), marked) is NO):
-            wrong.append({"position": pos, "hypothesis": hyp,
-                          "element": marked, "family": j})
-        j += 1
-    if len(wrong) >= error_goal:
-        return WitnessReport(
-            session.theorem, WRONG_FOREVER,
-            evidence=[{"text_prefix": list(prefix),
-                       "wrong_positions": wrong}],
-            budgets=b.to_json(), learner=session.learner.name)
-    return WitnessReport(
-        session.theorem, BUDGET_EXHAUSTED,
-        evidence=[{"stage": "wrong-position sweep",
-                   "wrong_positions": wrong}],
-        budgets=b.to_json(), learner=session.learner.name)
+    return session.diagnose(error_goal)
 
 
 # ==========================================================================
 # Full information beats partially set-driven monotone learners (syntactic
 # convergence): mind-change extension search
 
-class GsmonSession:
+class GsmonSession(Session):
     theorem = "gsmon"
 
-    def __init__(self, learner: LearnerOrFactory, budgets: Budgets,
-                 registry: Registry | None = None) -> None:
-        self.budgets = budgets
-        self.registry = registry if registry is not None else Registry()
-        self.sid = self.registry.new_session_id()
+    def setup(self) -> None:
         self._e = self.registry.allocate()
         self.registry.bind(self._e, Lazy("gsmon-union", self._enum_we))
         self._sigma: list[SequencePrefix] = [()]
         self._sigma_done = False
         self._steps: list[dict] = []
-        self._t: dict[int, int | None] = {}
         self._a: dict[frozenset[int], Index] = {}
-        self.learner = _resolve_learner(self, learner, "Psd")
 
     @property
     def union_index(self) -> Index:
@@ -364,23 +440,7 @@ class GsmonSession:
         return pair(self._e, i)
 
     def _hstar(self, sigma: SequencePrefix) -> Index | None:
-        return self.learner.apply((content(sigma), len(sigma)),
-                                  self.budgets.enum_budget)
-
-    def singleton_time(self, i: int) -> int | None:
-        """Least t with <e,i> inside the hypothesis on t copies of it."""
-        if i not in self._t:
-            x = self.probe_element(i)
-            found = None
-            for t in range(1, self.budgets.search_bound + 1):
-                hyp = self.learner.apply((frozenset({x}), t),
-                                         self.budgets.enum_budget)
-                if hyp is not None and self.registry.member(
-                        hyp, x, self.budgets.enum_budget):
-                    found = t
-                    break
-            self._t[i] = found
-        return self._t[i]
+        return self.ask((content(sigma), len(sigma)))
 
     def sigma(self, i: int) -> SequencePrefix | None:
         """The i-th mind-change sequence, or None when the extension search
@@ -427,89 +487,72 @@ class GsmonSession:
             self._a[d] = x
         return self._a[d]
 
+    def _diagnose(self, mind_change_goal: int) -> WitnessReport:
+        count = 0
+        while count < mind_change_goal and self.sigma(count + 1) is not None:
+            count += 1
+        if count >= mind_change_goal:
+            return self.report(INFINITE_MIND_CHANGES, count=count,
+                               text_prefix=list(self.sigma(count)),
+                               steps=self._steps[:count])
+        k = count  # last stage whose sigma is defined
+        sigma_k = self.sigma(k)
+        x1 = self.probe_element(2 * k + 1)
+        x2 = self.probe_element(2 * k + 2)
+        t1 = self.singleton_time(x1)
+        t2 = self.singleton_time(x2)
+        if t1 is None or t2 is None:
+            missing = 2 * k + 1 if t1 is None else 2 * k + 2
+            return self.report(
+                SINGLETON_NOT_LEARNED, probe=missing,
+                element=self.probe_element(missing),
+                search_bound=self.budgets.search_bound,
+                note="the singleton is in the learned class but never "
+                     "entered a hypothesis")
+        base = self._hstar(sigma_k)
+        h1 = self.ask((content(sigma_k) | {x1}, t1 + len(sigma_k)))
+        h2 = self.ask((content(sigma_k) | {x2}, t2 + len(sigma_k)))
+        j0 = max(t1, t2)
+        coincide = []
+        for extra, x in ((j0, x1), (j0, x2), (j0 + 3, x1), (j0 + 3, x2)):
+            hyp = self.ask((content(sigma_k) | {x}, len(sigma_k) + extra))
+            coincide.append({"element": x, "length": len(sigma_k) + extra,
+                             "hypothesis": hyp, "equals_base": hyp == base})
+        l1 = self.a(content(sigma_k) | {x1})
+        l2 = self.a(content(sigma_k) | {x2})
+        return self.report(
+            MONOTONICITY_TRAP,
+            stage=k,
+            sigma_k=list(sigma_k),
+            base_hypothesis=base,
+            kept_elements=[x1, x2],
+            singleton_times={str(2 * k + 1): t1, str(2 * k + 2): t2},
+            membership_after_singleton_block=[
+                {"element": x1, "hypothesis": h1, "member": self.includes(h1, x1)},
+                {"element": x2, "hypothesis": h2, "member": self.includes(h2, x2)},
+            ],
+            state_coincidence=coincide,
+            confusable_languages={"L1": l1, "L2": l2})
+
 
 def gsmon_session(learner: LearnerOrFactory, budgets: Budgets | None = None,
                   registry: Registry | None = None) -> GsmonSession:
-    return GsmonSession(learner, budgets or Budgets(), registry)
+    return GsmonSession(learner, budgets, registry)
 
 
 def gsmon_diagnose(session: GsmonSession, mind_change_goal: int) -> WitnessReport:
-    b = session.budgets
-    count = 0
-    while count < mind_change_goal and session.sigma(count + 1) is not None:
-        count += 1
-    if count >= mind_change_goal:
-        prefix = session.sigma(count)
-        return WitnessReport(
-            session.theorem, INFINITE_MIND_CHANGES,
-            evidence=[{"count": count, "text_prefix": list(prefix),
-                       "steps": session._steps[:count]}],
-            budgets=b.to_json(), learner=session.learner.name)
-    k = count  # last stage whose sigma is defined
-    sigma_k = session.sigma(k)
-    x1 = session.probe_element(2 * k + 1)
-    x2 = session.probe_element(2 * k + 2)
-    t1 = session.singleton_time(2 * k + 1)
-    t2 = session.singleton_time(2 * k + 2)
-    if t1 is None or t2 is None:
-        missing = 2 * k + 1 if t1 is None else 2 * k + 2
-        return WitnessReport(
-            session.theorem, SINGLETON_NOT_LEARNED,
-            evidence=[{"probe": missing,
-                       "element": session.probe_element(missing),
-                       "search_bound": b.search_bound,
-                       "note": "the singleton is in the learned class but "
-                               "never entered a hypothesis"}],
-            budgets=b.to_json(), learner=session.learner.name)
-    reg = session.registry
-    base = session._hstar(sigma_k)
-    h1 = session.learner.apply((content(sigma_k) | {x1}, t1 + len(sigma_k)),
-                               b.enum_budget)
-    h2 = session.learner.apply((content(sigma_k) | {x2}, t2 + len(sigma_k)),
-                               b.enum_budget)
-    j0 = max(t1, t2)
-    coincide = []
-    for extra, x in ((j0, x1), (j0, x2), (j0 + 3, x1), (j0 + 3, x2)):
-        hyp = session.learner.apply((content(sigma_k) | {x},
-                                     len(sigma_k) + extra), b.enum_budget)
-        coincide.append({"element": x, "length": len(sigma_k) + extra,
-                         "hypothesis": hyp, "equals_base": hyp == base})
-    d1 = content(sigma_k) | {x1}
-    d2 = content(sigma_k) | {x2}
-    l1 = session.a(d1)
-    l2 = session.a(d2)
-    evidence = [{
-        "stage": k,
-        "sigma_k": list(sigma_k),
-        "base_hypothesis": base,
-        "kept_elements": [x1, x2],
-        "singleton_times": {str(2 * k + 1): t1, str(2 * k + 2): t2},
-        "membership_after_singleton_block": [
-            {"element": x1, "hypothesis": h1,
-             "member": h1 is not None and reg.member(h1, x1, b.enum_budget)},
-            {"element": x2, "hypothesis": h2,
-             "member": h2 is not None and reg.member(h2, x2, b.enum_budget)},
-        ],
-        "state_coincidence": coincide,
-        "confusable_languages": {"L1": l1, "L2": l2},
-    }]
-    return WitnessReport(
-        session.theorem, MONOTONICITY_TRAP,
-        evidence=evidence, budgets=b.to_json(), learner=session.learner.name)
+    return session.diagnose(mind_change_goal)
 
 
 # ==========================================================================
 # Partial set-driven beats total partially set-driven monotone learners:
 # the mind-change predicate P and the paired languages W_e, W_e'
 
-class TotalPsdSession:
+class TotalPsdSession(Session):
     theorem = "totalpsd"
+    total = True
 
-    def __init__(self, learner: LearnerOrFactory, budgets: Budgets,
-                 registry: Registry | None = None) -> None:
-        self.budgets = budgets
-        self.registry = registry if registry is not None else Registry()
-        self.sid = self.registry.new_session_id()
+    def setup(self) -> None:
         self._e = self.registry.allocate()
         self._e_prime = self.registry.allocate()
         self.registry.bind(self._e, Lazy("totalpsd-e", self._enum_e,
@@ -518,9 +561,7 @@ class TotalPsdSession:
                                                self._decide_e_prime))
         self._p: dict[int, bool] = {}
         self._computing: list[int] = []
-        self._t: dict[int, int | None] = {}
         self._codes: list[int] = []
-        self.learner = _resolve_learner(self, learner, "Psd")
 
     @property
     def e(self) -> Index:
@@ -535,7 +576,7 @@ class TotalPsdSession:
         payload registered when it is first computed."""
         codes = self._codes
         for i in range(len(codes), n):
-            code = encode(Tag.PROG, pair(self.sid, i))
+            code = self.own(i)
             codes.append(code)
             self.registry.set_payload(
                 code,
@@ -552,23 +593,6 @@ class TotalPsdSession:
     def prefix_content(self, i: int) -> frozenset[int]:
         return frozenset(self._elements(i)[:i])
 
-    def _call(self, d: frozenset[int], t: int) -> Index:
-        hyp = self.learner.apply((d, t), self.budgets.enum_budget)
-        if hyp is None:
-            raise _Totality((sorted(d), t))
-        return hyp
-
-    def singleton_time(self, x: int) -> int | None:
-        if x not in self._t:
-            found = None
-            for t in range(1, self.budgets.search_bound + 1):
-                if self.registry.member(self._call(frozenset({x}), t), x,
-                                        self.budgets.enum_budget):
-                    found = t
-                    break
-            self._t[x] = found
-        return self._t[x]
-
     def predicate(self, i: int) -> bool:
         """P(i): the learner changes its mind when a(i) arrives.
 
@@ -584,8 +608,8 @@ class TotalPsdSession:
                 ti = self.singleton_time(self.a(i))
                 if ti is None:
                     raise _Totality(("singleton never learned", self.a(i)))
-                before = self._call(self.prefix_content(i), ti + i)
-                after = self._call(self.prefix_content(i + 1), ti + i + 1)
+                before = self.ask((self.prefix_content(i), ti + i))
+                after = self.ask((self.prefix_content(i + 1), ti + i + 1))
                 self._p[i] = before != after
             finally:
                 self._computing.pop()
@@ -602,7 +626,7 @@ class TotalPsdSession:
         return frozenset(out)
 
     def _decide_e(self, x: int) -> Decision:
-        i = self._decode(x)
+        i = self.owned(x)
         if i is None:
             return NO
         return YES if all(self.predicate(j) for j in range(i + 1)) else NO
@@ -618,107 +642,77 @@ class TotalPsdSession:
         return frozenset(out)
 
     def _decide_e_prime(self, x: int) -> Decision:
-        i = self._decode(x)
+        i = self.owned(x)
         if i is None:
             return NO
         return YES if all(self.predicate(j) for j in range(i)) else NO
 
-    def _decode(self, x: int) -> int | None:
-        if tag_of(x) is not Tag.PROG:
-            return None
-        _, payload = unpair(x)
-        sid, i = unpair(payload)
-        return i if sid == self.sid else None
+    def _diagnose(self, goal: int) -> WitnessReport:
+        try:
+            k = next((i for i in range(goal) if not self.predicate(i)), None)
+            if k is None:
+                prefix: list[int] = []
+                for i in range(goal):
+                    t = self.singleton_time(self.a(i))
+                    prefix.extend([self.a(i)] * ((t or 1) + i))
+                return self.report(INFINITE_MIND_CHANGES, count=goal,
+                                   text_prefix=prefix, predicate_run=goal)
+            # The learner repeats itself at stage k: it keeps a(k) although
+            # a(k) is outside W_e, confusing the paired languages.
+            ak = self.a(k)
+            tk = self.singleton_time(ak)
+            samples = []
+            for extra in (0, 1, 5):
+                t_probe = (tk or 1) + k + extra
+                hyp = self.ask((self.prefix_content(k), t_probe))
+                samples.append({"count": t_probe, "hypothesis": hyp,
+                                "member": self.includes(hyp, ak)})
+            repeat = {
+                "before": self.ask((self.prefix_content(k), (tk or 1) + k)),
+                "after": self.ask((self.prefix_content(k + 1), (tk or 1) + k + 1)),
+            }
+            return self.report(
+                CONFUSED_PAIR,
+                stage=k,
+                element=ak,
+                L=self.e,
+                L_prime=self.e_prime,
+                element_outside_L=self.registry.decide(self.e, ak) is NO,
+                shared_hypothesis=repeat,
+                kept_membership_samples=samples)
+        except _Cycle as exc:
+            i = exc.cycle[-1]
+            return self.report(BUDGET_EXHAUSTED, stage="mind-change predicate",
+                               predicate_cycle=exc.cycle, element=self.a(i),
+                               reason=f"computing P({i}) needs P({i}) itself")
 
 
 def totalpsd_session(learner: LearnerOrFactory, budgets: Budgets | None = None,
                      registry: Registry | None = None) -> TotalPsdSession:
-    return TotalPsdSession(learner, budgets or Budgets(), registry)
+    return TotalPsdSession(learner, budgets, registry)
 
 
 def totalpsd_diagnose(session: TotalPsdSession, goal: int) -> WitnessReport:
-    b = session.budgets
-    try:
-        k = None
-        for i in range(goal):
-            if not session.predicate(i):
-                k = i
-                break
-        if k is None:
-            prefix: list[int] = []
-            for i in range(goal):
-                t = session.singleton_time(session.a(i))
-                prefix.extend([session.a(i)] * ((t or 1) + i))
-            return WitnessReport(
-                session.theorem, INFINITE_MIND_CHANGES,
-                evidence=[{"count": goal, "text_prefix": prefix,
-                           "predicate_run": goal}],
-                budgets=b.to_json(), learner=session.learner.name)
-        # The learner repeats itself at stage k: it keeps a(k) although a(k)
-        # is outside W_e, confusing the paired languages.
-        ak = session.a(k)
-        tk = session.singleton_time(ak)
-        samples = []
-        for extra in (0, 1, 5):
-            t_probe = (tk or 1) + k + extra
-            hyp = session._call(session.prefix_content(k), t_probe)
-            samples.append({
-                "count": t_probe, "hypothesis": hyp,
-                "member": session.registry.member(hyp, ak, b.enum_budget)})
-        repeat = {
-            "before": session._call(session.prefix_content(k), (tk or 1) + k),
-            "after": session._call(session.prefix_content(k + 1),
-                                   (tk or 1) + k + 1),
-        }
-        return WitnessReport(
-            session.theorem, CONFUSED_PAIR,
-            evidence=[{
-                "stage": k,
-                "element": ak,
-                "L": session.e,
-                "L_prime": session.e_prime,
-                "element_outside_L": session.registry.decide(session.e, ak)
-                is NO,
-                "shared_hypothesis": repeat,
-                "kept_membership_samples": samples,
-            }],
-            budgets=b.to_json(), learner=session.learner.name)
-    except _Totality as exc:
-        return WitnessReport(
-            session.theorem, TOTALITY_VIOLATED,
-            evidence=[{"input": repr(exc.view)}],
-            budgets=b.to_json(), learner=session.learner.name)
-    except _Cycle as exc:
-        i = exc.cycle[-1]
-        return WitnessReport(
-            session.theorem, BUDGET_EXHAUSTED,
-            evidence=[{"stage": "mind-change predicate",
-                       "predicate_cycle": exc.cycle,
-                       "element": session.a(i),
-                       "reason": f"computing P({i}) needs P({i}) itself"}],
-            budgets=b.to_json(), learner=session.learner.name)
+    return session.diagnose(goal)
 
 
 # ==========================================================================
 # Globally strongly monotone partially set-driven beats set-driven: nested
 # probe sets and the halting diagonal
 
-class SdSession:
+class SdSession(Session):
     theorem = "sd"
+    kind = SD
+    total = True
 
-    def __init__(self, learner: LearnerOrFactory, budgets: Budgets,
-                 registry: Registry | None = None) -> None:
-        self.budgets = budgets
-        self.registry = registry if registry is not None else Registry()
-        self.sid = self.registry.new_session_id()
+    def setup(self) -> None:
         self._e = self.registry.allocate()
         self.registry.bind(self._e, Lazy("sd-e", self._enum_e, self._decide_e))
-        self._probe = encode(Tag.PROG, pair(self.sid, 0))
+        self._probe = self.own(0)
         self.registry.set_halting(self._probe, self._halt_step)
         self._codes: list[int] = []
         self._answers: dict[int, Index] = {}
         self._repeat: int | None | bool = False  # False = not yet computed
-        self.learner = _resolve_learner(self, learner, "Sd")
 
     @property
     def e(self) -> Index:
@@ -744,10 +738,7 @@ class SdSession:
 
     def answer(self, j: int) -> Index:
         if j not in self._answers:
-            hyp = self.learner.apply(self.probe_set(j), self.budgets.enum_budget)
-            if hyp is None:
-                raise _Totality(sorted(self.probe_set(j)))
-            self._answers[j] = hyp
+            self._answers[j] = self.ask(self.probe_set(j))
         return self._answers[j]
 
     def repeat_at(self) -> int | None:
@@ -785,44 +776,35 @@ class SdSession:
             return YES if i <= self.budgets.search_bound else NOT_DECIDABLE
         return YES if i < r else NO
 
+    def _diagnose(self, goal: int) -> WitnessReport:
+        changes = []
+        for j in range(goal):
+            before, after = self.answer(j), self.answer(j + 1)
+            if before == after:
+                return self.report(
+                    CONFUSED_PAIR,
+                    stage=j,
+                    L=ind(self.probe_set(j)),
+                    L_prime=ind(self.probe_set(j + 1)),
+                    separating_element=self.element(j + 1),
+                    shared_hypothesis=before,
+                    reinvoked_equal=self.ask(self.probe_set(j))
+                    == self.ask(self.probe_set(j + 1)))
+            changes.append({"stage": j, "before": before, "after": after})
+        return self.report(INFINITE_MIND_CHANGES, count=goal, changes=changes,
+                           text_prefix=[self.element(i) for i in range(goal)])
+
 
 def sd_session(learner: LearnerOrFactory, budgets: Budgets | None = None,
                registry: Registry | None = None) -> SdSession:
-    return SdSession(learner, budgets or Budgets(), registry)
+    return SdSession(learner, budgets, registry)
 
 
 def sd_diagnose(session: SdSession, goal: int) -> WitnessReport:
-    b = session.budgets
-    try:
-        changes = []
-        for j in range(goal):
-            before, after = session.answer(j), session.answer(j + 1)
-            if before == after:
-                confused_l = ind(session.probe_set(j))
-                confused_l2 = ind(session.probe_set(j + 1))
-                return WitnessReport(
-                    session.theorem, CONFUSED_PAIR,
-                    evidence=[{
-                        "stage": j,
-                        "L": confused_l,
-                        "L_prime": confused_l2,
-                        "separating_element": session.element(j + 1),
-                        "shared_hypothesis": before,
-                        "reinvoked_equal":
-                            session.learner.apply(session.probe_set(j),
-                                                  b.enum_budget)
-                            == session.learner.apply(session.probe_set(j + 1),
-                                                     b.enum_budget),
-                    }],
-                    budgets=b.to_json(), learner=session.learner.name)
-            changes.append({"stage": j, "before": before, "after": after})
-        return WitnessReport(
-            session.theorem, INFINITE_MIND_CHANGES,
-            evidence=[{"count": goal, "changes": changes,
-                       "text_prefix": [session.element(i) for i in range(goal)]}],
-            budgets=b.to_json(), learner=session.learner.name)
-    except _Totality as exc:
-        return WitnessReport(
-            session.theorem, TOTALITY_VIOLATED,
-            evidence=[{"input": repr(exc.view)}],
-            budgets=b.to_json(), learner=session.learner.name)
+    return session.diagnose(goal)
+
+
+SESSIONS: dict[str, tuple[Callable[..., WitnessReport], str]] = {
+    cls.theorem: (cls.run, cls.kind)
+    for cls in (CoolsepSession, GsmonSession, TotalPsdSession, SdSession)
+}

@@ -3,7 +3,8 @@ diagonalization sessions, dump relation maps and enumerations.  All output
 is deterministic JSON.
 
 Exit codes: 0 confirmed / definitive witness, 1 refuted, 2 configuration
-error, 3 inconclusive or budget exhausted.
+error (including a negative setting), 3 inconclusive or budget exhausted,
+4 internal error.  A fault of the program never exits 1.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+import traceback
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -37,7 +40,7 @@ from .learnkit import (
     TableError,
     load_table_learner,
     run,
-    star,
+    wrap_learner,
 )
 from .textkit import Text, canonical_text, finite_text, parse_element, parse_prefix
 
@@ -45,15 +48,9 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
-DEFAULTS = {
-    "horizon": 60,
-    "enum_budget": 500,
-    "search_bound": 200,
-    "mind_change_goal": 10,
-    "error_goal": 10,
-    "bound": 100,
-}
+DEFAULTS = {**adv.Budgets().to_json(), "bound": 100}
 
 CONFIG_KEYS = frozenset(DEFAULTS)
 
@@ -92,10 +89,13 @@ def load_config_file(explicit: str | None = None) -> dict[str, int]:
 
 
 def _setting(args: argparse.Namespace, file_cfg: dict[str, int], key: str) -> int:
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return file_cfg.get(key, DEFAULTS[key])
+    """The flag's value, else the config file's, else the default."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = file_cfg.get(key, DEFAULTS[key])
+    if value < 0:
+        raise ConfigError(f"{key} must be non-negative, got {value}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -182,23 +182,9 @@ def resolve_session_learner(spec: str, wrap: bool, needed_kind: str):
             h = coolsep_learner(session)
         else:
             h = resolve_learner(spec, Workbench(session.registry))
-        if wrap and h.kind != needed_kind:
-            h = wrap_learner(h, needed_kind)
-        return h
+        return wrap_learner(h, needed_kind) if wrap else h
 
     return factory
-
-
-def wrap_learner(h: Learner, kind: str) -> Learner:
-    if h.kind == kind:
-        return h
-    if kind == G:
-        return star(h)
-    if kind == PSD and h.kind == SD:
-        return Learner(PSD, f"{h.name}^Psd",
-                       lambda view, budget: h.apply(view[0], budget))
-    raise ConfigError(
-        f"cannot wrap a {h.kind} learner into a {kind} one")
 
 
 # --------------------------------------------------------------------------
@@ -294,33 +280,17 @@ def cmd_check(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
     return EXIT_INCONCLUSIVE
 
 
-_SESSIONS = {
-    "coolsep": (adv.coolsep_session, PSD),
-    "gsmon": (adv.gsmon_session, PSD),
-    "totalpsd": (adv.totalpsd_session, PSD),
-    "sd": (adv.sd_session, SD),
-}
+# Session name -> (run, kind).  perfbench's tracer wraps each run here to
+# time its session, so a request runs its whole session through it.
+_SESSIONS = adv.SESSIONS
 
 
 def cmd_adversary(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
-    make_session, needed_kind = _SESSIONS[args.which]
-    budgets = adv.Budgets(
-        horizon=_setting(args, file_cfg, "horizon"),
-        enum_budget=_setting(args, file_cfg, "enum_budget"),
-        search_bound=_setting(args, file_cfg, "search_bound"),
-        mind_change_goal=_setting(args, file_cfg, "mind_change_goal"),
-        error_goal=_setting(args, file_cfg, "error_goal"),
-    )
-    factory = resolve_session_learner(args.learner, args.wrap, needed_kind)
-    session = make_session(factory, budgets)
-    if args.which == "coolsep":
-        report = adv.coolsep_diagnose(session, budgets.error_goal)
-    elif args.which == "gsmon":
-        report = adv.gsmon_diagnose(session, budgets.mind_change_goal)
-    elif args.which == "totalpsd":
-        report = adv.totalpsd_diagnose(session, budgets.mind_change_goal)
-    else:
-        report = adv.sd_diagnose(session, budgets.mind_change_goal)
+    run_session, needed_kind = _SESSIONS[args.which]
+    budgets = adv.Budgets(**{f.name: _setting(args, file_cfg, f.name)
+                             for f in fields(adv.Budgets)})
+    report = run_session(
+        resolve_session_learner(args.learner, args.wrap, needed_kind), budgets)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.definitive else EXIT_INCONCLUSIVE
 
@@ -447,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, adv.KindMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault of the program, not a verdict
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

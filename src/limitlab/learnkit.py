@@ -38,6 +38,10 @@ PsdView = tuple[frozenset[int], int]
 SdView = frozenset[int]
 
 
+class KindMismatchError(Exception):
+    """A learner of one kind where another kind is needed."""
+
+
 class TableError(Exception):
     pass
 
@@ -106,6 +110,20 @@ def star(h: Learner) -> Learner:
         return h.apply(view_of(h.kind, prefix), budget)
 
     return Learner(G, f"{h.name}*", apply)
+
+
+def wrap_learner(h: Learner, kind: str) -> Learner:
+    """h as a learner of the given kind: starred into G, or an Sd learner
+    as a Psd one that ignores the count."""
+    if h.kind == kind:
+        return h
+    if kind == G:
+        return star(h)
+    if kind == PSD and h.kind == SD:
+        return Learner(PSD, f"{h.name}^Psd",
+                       lambda view, budget: h.apply(view[0], budget))
+    raise KindMismatchError(
+        f"cannot wrap a {h.kind} learner into a {kind} one")
 
 
 LearningSequence = list[Index | None]

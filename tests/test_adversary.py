@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from limitlab.adversary import (
+    SESSIONS,
     Budgets,
     CoolsepSession,
+    GsmonSession,
     KindMismatchError,
+    SdSession,
+    TotalPsdSession,
     coolsep_diagnose,
     coolsep_session,
     gsmon_diagnose,
@@ -22,8 +26,9 @@ from limitlab.canonical import (
     min_consistent,
     set_copier,
 )
-from limitlab.hypospace import NO, NOT_DECIDABLE, YES, ind, pad
-from limitlab.learnkit import Learner, psd_learner, sd_learner
+from limitlab.coding import Tag, encode, pair
+from limitlab.hypospace import NO, NOT_DECIDABLE, YES, Registry, ind, pad
+from limitlab.learnkit import PSD, psd_learner, sd_learner, wrap_learner
 from oracles import (
     coolsep_element_by_formula,
     sd_element_by_formula,
@@ -34,9 +39,7 @@ FAST = Budgets(search_bound=50, mind_change_goal=10, error_goal=5)
 
 
 def copier_as_psd():
-    h = set_copier()
-    return Learner("Psd", "set-copier^Psd",
-                   lambda view, budget: h.apply(view[0], budget))
+    return wrap_learner(set_copier(), PSD)
 
 
 def constant_nat_psd(session):
@@ -186,8 +189,6 @@ def test_gsmon_singleton_not_learned():
 
 def test_gsmon_a_indices_self_referential():
     s = gsmon_session(always_change(), FAST)
-    from limitlab.coding import pair
-
     d = frozenset({5, 6})
     a = s.a(d)
     assert s.registry.enumerate(a, 100) == d | {pair(a, 0)}
@@ -214,8 +215,11 @@ def test_totalpsd_constant_confused_pair():
 
 def test_totalpsd_totality_violation():
     bad = psd_learner(lambda view: None, name="silent")
-    report = totalpsd_diagnose(totalpsd_session(bad, FAST), 10)
+    s = totalpsd_session(bad, FAST)
+    report = totalpsd_diagnose(s, 10)
     assert report.variant == "TotalityViolated"
+    # The first question: a(0) once, asked for the singleton time of a(0).
+    assert report.evidence == [{"input": repr(([s.a(0)], 1))}]
 
 
 def test_totalpsd_paired_languages_disagree_only_at_failure():
@@ -252,8 +256,10 @@ def test_sd_rejects_wrong_kind():
 
 def test_sd_totality_violation():
     bad = sd_learner(lambda d: None, name="silent")
-    report = sd_diagnose(sd_session(bad, FAST), 10)
+    s = sd_session(bad, FAST)
+    report = sd_diagnose(s, 10)
     assert report.variant == "TotalityViolated"
+    assert report.evidence == [{"input": repr([s.element(0)])}]
 
 
 def test_sd_halting_probe_tracks_repeat():
@@ -496,3 +502,50 @@ def test_sd_cached_elements_match_closed_form(r, search_bound, ops):
             assert lazy.decide(el(xi, foreign)) is decision
     # Each answer is asked of the learner once, in the order of the probe sets.
     assert views == [{el(i) for i in range(j + 1)} for j in range(len(views))]
+
+
+# -- the session protocol ----------------------------------------------------
+
+SESSION_CLASSES = (CoolsepSession, GsmonSession, TotalPsdSession, SdSession)
+
+
+def test_sessions_table_lists_every_session():
+    assert SESSIONS == {cls.theorem: (cls.run, cls.kind) for cls in SESSION_CLASSES}
+    assert {name: run.__self__.goal_field for name, (run, _) in SESSIONS.items()} == {
+        "coolsep": "error_goal", "gsmon": "mind_change_goal",
+        "totalpsd": "mind_change_goal", "sd": "mind_change_goal"}
+
+
+@pytest.mark.parametrize("cls", SESSION_CLASSES)
+def test_session_reads_only_its_own_codes(cls):
+    registry = Registry()
+    other = cls(constant_learner(0, cls.kind), FAST, registry)
+    s = cls(constant_learner(0, cls.kind), FAST, registry)
+    assert s.sid != other.sid
+    for n in (0, 1, 7, pair(3, 4)):
+        assert s.owned(s.own(n)) == n
+        assert s.owned(other.own(n)) is None
+        for tag in Tag:
+            if tag is not Tag.PROG:
+                assert s.owned(encode(tag, pair(s.sid, n))) is None
+        assert s.owned(pair(len(Tag), pair(s.sid, n))) is None  # unknown tag
+
+
+def test_coolsep_decode_element_rejects_foreign_codes():
+    s = coolsep_session(family_overgeneralizer, FAST)
+    assert s.decode_element(s.element(2, 5)) == (2, 5)
+    assert s.decode_element(encode(Tag.REG, pair(s.sid, pair(2, 5)))) is None
+    assert s.decode_element(pair(len(Tag) + 3, 0)) is None
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_session_run_matches_session_then_diagnose(name):
+    run, kind = SESSIONS[name]
+    learner = constant_nat_sd if kind == "Sd" else constant_nat_psd
+    make, diagnose, goal = {
+        "coolsep": (coolsep_session, coolsep_diagnose, FAST.error_goal),
+        "gsmon": (gsmon_session, gsmon_diagnose, FAST.mind_change_goal),
+        "totalpsd": (totalpsd_session, totalpsd_diagnose, FAST.mind_change_goal),
+        "sd": (sd_session, sd_diagnose, FAST.mind_change_goal),
+    }[name]
+    assert run(learner, FAST).dumps() == diagnose(make(learner, FAST), goal).dumps()

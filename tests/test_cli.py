@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from limitlab import cli
 from limitlab.cli import build_parser, main
 
 
@@ -258,3 +259,78 @@ def test_config_errors(capsys, tmp_path):
     assert main(["learn", "--learner", "thm3", "--text", "0"]) == 2
     (tmp_path / "limitlab.cfg").write_text("horizon=abc\n", encoding="utf-8")
     assert main(["learn", "--learner", "thm3", "--text", "0"]) == 2
+
+
+NEGATIVE_FLAGS = [
+    ("check", "--criterion", "smon", "--learner", "thm3", "--text", "canonical:N",
+     "--horizon", "5", "--budget", "-5"),
+    ("check", "--criterion", "smon", "--learner", "thm3", "--text", "canonical:N",
+     "--horizon", "-3"),
+    ("check", "--criterion", "ex", "--learner", "thm3", "--text", "canonical:N",
+     "--target", "N", "--bound", "-1", "--horizon", "5"),
+    ("adversary", "sd", "--learner", "set-copier", "--goal", "-2"),
+    ("adversary", "gsmon", "--learner", "constant:N:Psd", "--search-bound", "-1",
+     "--goal", "3"),
+    ("adversary", "coolsep", "--learner", "family-overgeneralizer",
+     "--error-goal", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_FLAGS)
+def test_negative_flags_are_config_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-negative" in captured.err
+
+
+CHECK_SMON = ("check", "--criterion", "smon", "--learner", "thm3",
+              "--text", "canonical:N")
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("horizon", CHECK_SMON),
+    ("enum_budget", CHECK_SMON),
+    ("bound", ("check", "--criterion", "ex", "--learner", "thm3",
+               "--text", "canonical:N", "--target", "N", "--horizon", "5")),
+    ("search_bound", ("adversary", "gsmon", "--learner", "constant:N:Psd",
+                      "--goal", "3")),
+    ("mind_change_goal", ("adversary", "sd", "--learner", "set-copier")),
+    ("error_goal", ("adversary", "coolsep", "--learner", "family-overgeneralizer")),
+])
+def test_negative_config_keys_are_config_errors(capsys, tmp_path, key, argv):
+    (tmp_path / "limitlab.cfg").write_text(f"{key}=-1\n", encoding="utf-8")
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be non-negative, got -1\n"
+
+
+def test_wrap_error_is_a_config_error(capsys):
+    assert main(["adversary", "sd", "--learner", "min-consistent", "--wrap"]) == 2
+    assert capsys.readouterr().err == "error: cannot wrap a Psd learner into a Sd one\n"
+
+
+def test_internal_fault_exits_4(capsys, monkeypatch):
+    def broken(args, file_cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_enum", broken)
+    # A parser built afresh dispatches to the patched command.
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert main(["enum", "--index", "2N"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: internal: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("argv", [
+    ["adversary", "sd", "--learner", "set-copier", "--goal", "160"],
+    ["adversary", "gsmon", "--learner", "always-change", "--goal", "160"],
+    ["learn", "--learner", "always-change", "--text", "canonical:N", "--horizon", "140"],
+])
+def test_oversized_index_is_an_internal_error_not_a_refutation(capsys, argv):
+    # Printing an index of more than 4300 decimal digits fails today; the
+    # fault must not read as exit 1, "refuted".
+    assert main(argv) == 4
+    assert "error: internal: ValueError" in capsys.readouterr().err

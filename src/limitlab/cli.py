@@ -101,18 +101,28 @@ def _setting(args: argparse.Namespace, file_cfg: dict[str, int], key: str) -> in
 # --------------------------------------------------------------------------
 # Spec resolution
 
-def resolve_descriptor(spec: str, workbench: Workbench) -> Descriptor:
-    """Named language (2N, N, L<odd>) or a comma-separated finite set."""
-    spec = spec.strip()
+def _named_language(spec: str, evens, naturals, odd_class):
+    """``evens`` for 2N, ``naturals`` for N, ``odd_class(k)`` for L<k> with
+    k odd, and None for any other spec."""
     if spec in ("2N", "evens"):
-        return workbench.evens
+        return evens
     if spec in ("N", "naturals"):
-        return workbench.naturals
+        return naturals
     if spec.startswith("L") and spec[1:].isdigit():
         odd = int(spec[1:])
         if odd % 2 == 0:
             raise ConfigError(f"language parameter must be odd: {spec}")
-        return workbench.odd_class_descriptor(odd)
+        return odd_class(odd)
+    return None
+
+
+def resolve_descriptor(spec: str, workbench: Workbench) -> Descriptor:
+    """Named language (2N, N, L<odd>) or a comma-separated finite set."""
+    spec = spec.strip()
+    named = _named_language(spec, workbench.evens, workbench.naturals,
+                            workbench.odd_class_descriptor)
+    if named is not None:
+        return named
     try:
         return Finite(frozenset(parse_element(part) for part in spec.split(",")
                                 if part.strip()))
@@ -319,14 +329,10 @@ def cmd_enum(args: argparse.Namespace, file_cfg: dict[str, int]) -> int:
             index = ind(int(part) for part in spec[4:].split(",") if part.strip())
         except ValueError:
             raise ConfigError(f"bad set literal {spec!r}") from None
-    elif spec in ("2N", "evens"):
-        index = workbench.e2N
-    elif spec in ("N", "naturals"):
-        index = workbench.p2
-    elif spec.startswith("L") and spec[1:].isdigit():
-        index = workbench.p(int(spec[1:]))
     else:
-        raise ConfigError(f"cannot parse index {spec!r}")
+        index = _named_language(spec, workbench.e2N, workbench.p2, workbench.p)
+        if index is None:
+            raise ConfigError(f"cannot parse index {spec!r}")
     budget = _setting(args, file_cfg, "enum_budget")
     try:
         tag, _ = decode(index)

@@ -7,11 +7,9 @@ Verdicts are three-valued: a checker never silently asserts a fact it could
 not establish within its budgets.
 
 A monotonicity witness (n, m, x) is the least in the order of n, then m,
-then x.  When every hypothesis of the run is None or exact, it is found by
-checking each element only up to its first miss, in about (runs) x
-(elements) ``decide`` calls; every other case, and every case that meets
-an undecided membership or content question, takes the scan comparing
-every run with every later run.  Both give the same verdict.
+then x.  One scan finds it for every kind of hypothesis: each element is
+checked from the first run that enumerates it against each later run, up
+to its first miss, in about (runs) x (elements) ``decide`` calls.
 """
 
 from __future__ import annotations
@@ -101,9 +99,8 @@ def _runs(seq: LearningSequence) -> list[tuple[int, Index | None]]:
 def _first_unshown(text: Text, horizon: int, target, bound: int) -> int | None:
     """The first target element up to the bound (every element of a finite
     target) that the text's first ``horizon`` items do not show, or None."""
-    limit = min(bound, target.bound) if isinstance(target, Decidable) else bound
     shown = content(text.prefix(horizon))
-    return next((x for x in descriptor_elements(target, limit) if x not in shown),
+    return next((x for x in descriptor_elements(target, bound) if x not in shown),
                 None)
 
 
@@ -183,51 +180,45 @@ def check_bc(registry: Registry, seq: LearningSequence, text: Text, target,
 # Monotonicity criteria
 
 def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
-                       target_decide, allow_budget_witness: bool):
+                       target_decide, allow_budget_witness: bool
+                       ) -> tuple[MonWitness | None, bool]:
     """Shared scan for SMon/Mon.  ``target_decide`` restricts witness
-    elements (None for SMon).  Returns (witness, all_exact, gaps).
+    elements (None for SMon; elements it cannot place are skipped, like
+    those it rules out).  Returns (witness, settled).
 
     The witness is the least (n, m, x) in the order of n, then m, then x:
     n and m start runs of equal entries, x is enumerated for the hypothesis
-    of n's run and decided out of the differing hypothesis of m's run.
+    of n's run and, for an exact witness, decided out of the differing
+    hypothesis of m's run; a budget-tier witness instead meets an undecided
+    membership that the budget's enumeration does not show either.  With
+    ``allow_budget_witness`` the least witness of either tier is returned,
+    otherwise the least exact one, or failing that the least budget-tier
+    one as a near witness.
 
-    When every hypothesis is None or exact, :func:`_first_miss_scan` finds
-    that witness in about (runs) x (elements) ``decide`` calls.  Anything
-    it cannot settle (a hypothesis that is not exact, a ``decide`` that
-    answers NOT_DECIDABLE, an element the content filter cannot place)
-    goes to :func:`_all_pairs_scan`, which compares every run with every
-    later run and alone yields budget-tier witnesses and gaps.
+    A hypothesis that enumerates x never decides x out (structural
+    descriptors do not, and neither may a ``Lazy``).  So every witness for
+    x also appears at a(x), the first run that enumerates x, and each
+    element is checked from a(x) against each later differing hypothesis
+    until its first miss, in about (runs) x (elements) ``decide`` calls.
+    Once a witness that refutes is held, elements admitted at or after its
+    run cannot beat it and are dropped.
+
+    ``settled`` is true when every hypothesis is None or exact and no
+    ``decide`` answered NOT_DECIDABLE; it only counts when no witness
+    refutes.
     """
     runs = _runs(seq)
-    if all(hyp is None or registry.is_exact(hyp) for _, hyp in runs):
-        try:
-            return _first_miss_scan(registry, runs, budget, target_decide), True, 0
-        except _Undecided:
-            pass
-    return _all_pairs_scan(registry, seq, budget, target_decide,
-                           allow_budget_witness)
-
-
-class _Undecided(Exception):
-    """The first-miss scan met an answer it cannot use."""
-
-
-def _first_miss_scan(registry: Registry, runs: list[tuple[int, Index | None]],
-                     budget: int, target_decide) -> MonWitness | None:
-    """The all-pairs witness for runs of exact hypotheses, found by keeping
-    each element only up to its first miss.
-
-    An exact hypothesis decides every element it enumerates as YES (the
-    contract of ``Registry.is_exact`` and of ``Lazy``).  So an
-    element x can only be missed after a(x), the first run that enumerates
-    it, and the all-pairs witness is the least (a(x), b, x) over elements x
-    and their first misses b.  Elements are checked against each later run
-    until their first miss; once a candidate is held, elements admitted at
-    or after its run cannot beat it and are dropped.
-    """
+    settled = all(hyp is None or registry.is_exact(hyp) for _, hyp in runs)
     seen: set[int] = set()
     live: dict[int, tuple[int, Index]] = {}  # x -> (a(x), hypothesis of a(x))
-    best: tuple[int, int, int] | None = None  # (a, b, x) as run numbers
+    # The least (a, b, x, tier) of each tier, with a and b as run numbers.
+    exact = near = None
+
+    def refuting():
+        if allow_budget_witness and near is not None:
+            return min(near, exact or near)
+        return exact
+
     for b, (_, hyp_b) in enumerate(runs):
         if hyp_b is None:
             continue
@@ -235,88 +226,43 @@ def _first_miss_scan(registry: Registry, runs: list[tuple[int, Index | None]],
             if hyp_b == hyp_a:
                 continue
             d = registry.decide(hyp_b, x)
-            if d is NOT_DECIDABLE:
-                raise _Undecided
             if d is NO:
                 del live[x]
-                if best is None or (a, b, x) < best:
-                    best = (a, b, x)
-        if best is not None:
-            live = {x: v for x, v in live.items() if v[0] < best[0]}
+                if exact is None or (a, b, x) < exact[:3]:
+                    exact = (a, b, x, "exact")
+            elif d is NOT_DECIDABLE:
+                settled = False
+                if ((near is None or (a, b, x) < near[:3])
+                        and not registry.member(hyp_b, x, budget)):
+                    near = (a, b, x, "budget")
+        held = refuting()
+        if held is not None:
+            live = {x: v for x, v in live.items() if v[0] < held[0]}
             if not live:
                 break
             continue
         for x in registry.enumerate(hyp_b, budget) - seen:
             seen.add(x)
-            keep = True if target_decide is None else target_decide(x)
-            if keep is None:
-                raise _Undecided
-            if keep:
+            if target_decide is None or target_decide(x):
                 live[x] = (b, hyp_b)
+    best = refuting() or near
     if best is None:
-        return None
-    a, b, x = best
-    return MonWitness(runs[a][0], runs[b][0], x)
-
-
-def _all_pairs_scan(registry: Registry, seq: LearningSequence, budget: int,
-                    target_decide, allow_budget_witness: bool):
-    """:func:`_monotonicity_scan` by comparing every run with every later
-    run; the fallback for whatever the first-miss scan cannot settle.
-
-    Each run's hypothesis is checked for exactness after its own row of the
-    scan, so when a witness ends the scan early, ``all_exact`` and ``gaps``
-    cover only the rows before it; the checkers then refute and do not
-    read them.
-    """
-    runs = _runs(seq)
-    all_exact = True
-    gaps = 0
-    budget_witness: MonWitness | None = None
-    for a in range(len(runs)):
-        pos_n, hyp_n = runs[a]
-        if hyp_n is None:
-            continue
-        candidates = sorted(registry.enumerate(hyp_n, budget))
-        for b in range(a + 1, len(runs)):
-            pos_m, hyp_m = runs[b]
-            if hyp_m is None or hyp_m == hyp_n:
-                continue
-            for x in candidates:
-                if target_decide is not None:
-                    keep = target_decide(x)
-                    if keep is None:
-                        gaps += 1
-                        continue
-                    if not keep:
-                        continue
-                d = registry.decide(hyp_m, x)
-                if d is NO:
-                    return MonWitness(pos_n, pos_m, x), all_exact, gaps
-                if d is NOT_DECIDABLE:
-                    if not registry.member(hyp_m, x, budget):
-                        w = MonWitness(pos_n, pos_m, x, tier="budget",
-                                       budget=budget)
-                        if allow_budget_witness:
-                            return w, all_exact, gaps
-                        if budget_witness is None:
-                            budget_witness = w
-                    gaps += 1
-        if not registry.is_exact(hyp_n):
-            all_exact = False
-    return budget_witness, all_exact, gaps
+        return None, settled
+    a, b, x, tier = best
+    return MonWitness(runs[a][0], runs[b][0], x, tier,
+                      budget if tier == "budget" else None), settled
 
 
 def check_smon(registry: Registry, seq: LearningSequence, budget: int,
                allow_budget_witness: bool = False) -> Verdict:
     """Hypotheses must form a subset chain of languages."""
-    witness, all_exact, gaps = _monotonicity_scan(
+    witness, settled = _monotonicity_scan(
         registry, seq, budget, None, allow_budget_witness)
     if witness is not None and (witness.tier == "exact" or allow_budget_witness):
         return Verdict("smon", REFUTED, witness=witness)
     if any(entry is None for entry in seq):
         return Verdict("smon", INCONCLUSIVE, reason="undefined entries")
-    if all_exact and gaps == 0:
+    if settled:
         return Verdict("smon", CONFIRMED)
     return Verdict("smon", INCONCLUSIVE, reason="budget exhausted",
                    evidence={"near_witness": witness.to_json() if witness else None})
@@ -336,7 +282,7 @@ def check_mon(registry: Registry, seq: LearningSequence, text: Text,
         target_decide = lambda x: True if x in known else None
     else:
         target_decide = lambda x: descriptor_decides(desc, x)
-    witness, all_exact, gaps = _monotonicity_scan(
+    witness, settled = _monotonicity_scan(
         registry, seq, budget, target_decide, allow_budget_witness)
     if witness is not None and (witness.tier == "exact" or allow_budget_witness):
         v = Verdict("mon", REFUTED, witness=witness)
@@ -345,7 +291,7 @@ def check_mon(registry: Registry, seq: LearningSequence, text: Text,
         return v
     if any(entry is None for entry in seq):
         return Verdict("mon", INCONCLUSIVE, reason="undefined entries")
-    if all_exact and gaps == 0 and not semi_decidable:
+    if settled and not semi_decidable:
         return Verdict("mon", CONFIRMED)
     return Verdict("mon", INCONCLUSIVE, reason="budget exhausted",
                    evidence={"near_witness": witness.to_json() if witness else None})

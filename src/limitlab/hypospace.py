@@ -345,19 +345,10 @@ class Registry:
         A refutation is exact evidence; Confirmed means no discrepancy was
         found and the comparison was exhaustive for elements <= bound.
         """
-        if isinstance(target, Finite):
-            t_decide = lambda x: x in target.elements
-            t_elems = sorted(target.elements)
-        elif isinstance(target, Decidable):
-            t_decide = target.pred
-            t_elems = [x for x in range(min(bound, target.bound) + 1)
-                       if target.pred(x)]
-        else:
-            raise ValueError("lang_equal target must be Finite or Decidable")
-
+        t_elems = descriptor_elements(target, bound)
         enumerated = self.enumerate(e, budget)
         for x in sorted(enumerated):
-            if not t_decide(x):
+            if not descriptor_decides(target, x):
                 return LangEqual("refuted-extra", x)
         for x in t_elems:
             if x in enumerated:
@@ -376,13 +367,13 @@ class Registry:
         return LangEqual("confirmed")
 
 
-def descriptor_elements(d: Descriptor, limit: int) -> list[int]:
-    """Ascending elements of a Finite/Decidable descriptor, capped by value
-    limit for the decidable case."""
+def descriptor_elements(d: Descriptor, bound: int) -> list[int]:
+    """Ascending elements of a Finite/Decidable descriptor; a decidable
+    one's up to the lesser of ``bound`` and its own declared bound."""
     if isinstance(d, Finite):
         return sorted(d.elements)
     if isinstance(d, Decidable):
-        return [x for x in range(limit + 1) if d.pred(x)]
+        return [x for x in range(min(bound, d.bound) + 1) if d.pred(x)]
     raise ValueError("need a Finite or Decidable descriptor")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .hypospace import Decidable, Descriptor, Finite, descriptor_elements
+from .hypospace import Decidable, Descriptor, Finite
 
 PAUSE = "#"
 

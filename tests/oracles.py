@@ -3,7 +3,8 @@
 These deliberately avoid the library's own closed forms: the reachability
 oracle enumerates presentations outright, the pairing oracle inverts by
 linear search, the list-code oracles write and read one bit pair at a time,
-the monotonicity oracle compares every pair of positions, the run,
+the monotonicity oracles compare every pair of positions (one of them,
+the all-pairs scan, is the reference for the checkers' one scan), the run,
 flag and thm6 oracles rebuild everything from the whole prefix or content
 at every step, and the session element oracles compute every element
 code afresh from its closed form, with their own pairing arithmetic.
@@ -15,7 +16,8 @@ import itertools
 from functools import lru_cache
 
 from limitlab.coding import Tag, components, proj2
-from limitlab.hypospace import NO
+from limitlab.criteria import MonWitness, _runs
+from limitlab.hypospace import NO, NOT_DECIDABLE
 from limitlab.learnkit import G, PSD, SD
 from limitlab.textkit import PAUSE, content
 
@@ -103,6 +105,56 @@ def first_violation(registry, seq, budget: int, keep=None):
                 if (keep is None or keep(x)) and registry.decide(seq[m], x) is NO:
                     return n, m, x
     return None
+
+
+def all_pairs_scan(registry, seq, budget: int, target_decide,
+                   allow_budget_witness: bool):
+    """The checkers' monotonicity scan by comparing every run with every
+    later run: (witness, all_exact, gaps), where ``target_decide`` restricts
+    witness elements and gaps counts undecided memberships and elements it
+    cannot place.
+
+    Each run's hypothesis is checked for exactness after its own row of the
+    scan, so when a witness ends the scan early, ``all_exact`` and ``gaps``
+    cover only the rows before it; the checkers then refute and do not
+    read them.
+    """
+    runs = _runs(seq)
+    all_exact = True
+    gaps = 0
+    budget_witness: MonWitness | None = None
+    for a in range(len(runs)):
+        pos_n, hyp_n = runs[a]
+        if hyp_n is None:
+            continue
+        candidates = sorted(registry.enumerate(hyp_n, budget))
+        for b in range(a + 1, len(runs)):
+            pos_m, hyp_m = runs[b]
+            if hyp_m is None or hyp_m == hyp_n:
+                continue
+            for x in candidates:
+                if target_decide is not None:
+                    keep = target_decide(x)
+                    if keep is None:
+                        gaps += 1
+                        continue
+                    if not keep:
+                        continue
+                d = registry.decide(hyp_m, x)
+                if d is NO:
+                    return MonWitness(pos_n, pos_m, x), all_exact, gaps
+                if d is NOT_DECIDABLE:
+                    if not registry.member(hyp_m, x, budget):
+                        w = MonWitness(pos_n, pos_m, x, tier="budget",
+                                       budget=budget)
+                        if allow_budget_witness:
+                            return w, all_exact, gaps
+                        if budget_witness is None:
+                            budget_witness = w
+                    gaps += 1
+        if not registry.is_exact(hyp_n):
+            all_exact = False
+    return budget_witness, all_exact, gaps
 
 
 def run_by_prefixes(h, text, horizon: int, budget: int) -> list:

@@ -236,6 +236,18 @@ def test_enum_dump_schema(capsys):
     assert dump["enumeration"] == [0, 2, 4, 6, 8, 10]
 
 
+@pytest.mark.parametrize("spec, argv", [
+    ("L4", ["enum", "--index", "L4"]),
+    ("L0", ["enum", "--index", "L0"]),
+    ("L4", ["learn", "--learner", "thm3", "--text", "canonical:L4"]),
+])
+def test_even_language_parameter_is_config_error(capsys, spec, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: language parameter must be odd: {spec}\n"
+
+
 def test_config_file_defaults_and_flag_precedence(capsys, tmp_path):
     (tmp_path / "limitlab.cfg").write_text("horizon=5\n# comment\n",
                                            encoding="utf-8")

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from limitlab.criteria import (
 )
 from limitlab.hypospace import (
     NO,
+    NOT_DECIDABLE,
     YES,
     Finite,
     Lazy,
@@ -28,7 +30,7 @@ from limitlab.hypospace import (
 )
 from limitlab.learnkit import g_learner, run, star
 from limitlab.textkit import PAUSE, canonical_text, content, finite_text
-from oracles import first_violation
+from oracles import all_pairs_scan, first_violation
 
 
 # A text showing the element 1 first, for sequences learning {1}.
@@ -244,7 +246,9 @@ def test_monotonicity_scan_matches_all_pairs_oracle(learner):
 
 # Sequences mixing every kind of hypothesis; finite sets are drawn from
 # few elements, so that they often nest, and the budget cuts the decidable
-# languages off at 8.
+# languages off at 8.  A "lazy-partial" language claims to be exact but
+# leaves a second small set undecided, as coolsep's capped-k languages do
+# while f(j) is unresolved.
 SCAN_BUDGET = 8
 small_sets = st.frozensets(st.integers(0, 9), max_size=4)
 hypothesis_specs = st.one_of(
@@ -253,7 +257,8 @@ hypothesis_specs = st.one_of(
     st.tuples(st.just("fin"), small_sets),
     st.tuples(st.just("pad"), small_sets, st.integers(0, 2)),
     st.tuples(st.just("lazy"), small_sets),
-    st.tuples(st.just("lazy-exact"), small_sets))
+    st.tuples(st.just("lazy-exact"), small_sets),
+    st.tuples(st.just("lazy-partial"), small_sets, small_sets))
 content_specs = st.one_of(
     st.just(("evens",)), st.just(("naturals",)),
     st.tuples(st.just("fin"), small_sets), st.tuples(st.just("lazy"), small_sets))
@@ -274,8 +279,10 @@ def _hypothesis(wb, spec, lazies):
     # One index per Lazy language, so that repeats give equal entries.
     if spec not in lazies:
         elements = args[0]
-        decide = ((lambda x: YES if x in elements else NO)
-                  if kind == "lazy-exact" else None)
+        undecided = args[1] if kind == "lazy-partial" else frozenset()
+        decide = ((lambda x: YES if x in elements else
+                   NOT_DECIDABLE if x in undecided else NO)
+                  if kind != "lazy" else None)
         lazies[spec] = wb.registry.register(
             Lazy(kind, lambda budget: elements, decide))
     return lazies[spec]
@@ -291,14 +298,29 @@ def _content(wb, spec):
 
 
 def _all_pairs_verdict(check, *args):
+    def scan(*scan_args):
+        witness, all_exact, gaps = all_pairs_scan(*scan_args)
+        return witness, all_exact and gaps == 0
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "_monotonicity_scan", criteria._all_pairs_scan)
+        mp.setattr(criteria, "_monotonicity_scan", scan)
         return check(*args)
+
+
+# Undecided at run 1, decided out at run 2: the budget-tier witness comes first.
+BUDGET_BEFORE_EXACT = [("fin", frozenset({1})),
+                       ("lazy-partial", frozenset(), frozenset({1})),
+                       ("fin", frozenset())]
+# Claimed exact, leaves 1 undecided and never decides it out.
+UNDECIDED_NEVER_OUT = [("fin", frozenset({1})),
+                       ("lazy-partial", frozenset({2}), frozenset({1}))]
 
 
 @given(st.lists(hypothesis_specs, min_size=1, max_size=8), content_specs)
 @example([("fin", frozenset({1})), ("fin", frozenset({1, 2})),
           ("fin", frozenset({1})), ("fin", frozenset())], ("naturals",))
+@example(BUDGET_BEFORE_EXACT, ("naturals",))
+@example(UNDECIDED_NEVER_OUT, ("naturals",))
 def test_first_miss_scan_matches_all_pairs(specs, content_spec):
     wb = Workbench()
     lazies = {}
@@ -324,7 +346,25 @@ def test_first_miss_scan_matches_all_pairs(specs, content_spec):
                 assert (w.n, w.m, w.x) == expected
 
 
-def _decide_calls(monkeypatch, argv):
+def test_budget_witness_before_exact_one(wb):
+    seq = [_hypothesis(wb, spec, {}) for spec in BUDGET_BEFORE_EXACT]
+    allowed = check_smon(wb.registry, seq, SCAN_BUDGET, allow_budget_witness=True)
+    assert allowed.refuted
+    assert allowed.witness == MonWitness(0, 1, 1, "budget", SCAN_BUDGET)
+    exact = check_smon(wb.registry, seq, SCAN_BUDGET)
+    assert exact.refuted and exact.witness == MonWitness(0, 2, 1)
+
+
+def test_undecided_exact_claim_is_inconclusive(wb):
+    seq = [_hypothesis(wb, spec, {}) for spec in UNDECIDED_NEVER_OUT]
+    for v in (check_smon(wb.registry, seq, SCAN_BUDGET),
+              check_mon(wb.registry, seq, finite_text((1, 2)), SCAN_BUDGET)):
+        assert v.kind == "inconclusive" and v.reason == "budget exhausted"
+        assert v.evidence["near_witness"]["tier"] == "budget"
+
+
+@contextlib.contextmanager
+def _counted_decides(monkeypatch):
     calls = [0]
     decide = Registry.decide
 
@@ -334,6 +374,11 @@ def _decide_calls(monkeypatch, argv):
 
     with monkeypatch.context() as mp:
         mp.setattr(Registry, "decide", counted)
+        yield calls
+
+
+def _decide_calls(monkeypatch, argv):
+    with _counted_decides(monkeypatch) as calls:
         assert main(argv) == 0
     return calls[0]
 
@@ -347,6 +392,22 @@ def test_smon_scan_decides_grow_quadratically(monkeypatch, capsys):
         "--text", "canonical:N", "--horizon", str(horizon)])
         for horizon in (60, 120)]
     capsys.readouterr()
+    assert counts[1] <= 5 * counts[0], counts
+
+
+def test_semi_decidable_scan_decides_grow_quadratically(monkeypatch):
+    # Nested languages {0}, {0, 1}, ... that no decide settles: each element
+    # is asked of every later run once, about h^2 / 2 calls (all pairs of
+    # runs times their elements: about h^3 / 6).
+    counts = []
+    for h in (40, 80):
+        wb = Workbench()
+        seq = [wb.registry.register(Lazy(f"upto-{k}",
+                                         lambda budget, k=k: frozenset(range(k + 1))))
+               for k in range(h)]
+        with _counted_decides(monkeypatch) as calls:
+            assert check_smon(wb.registry, seq, SCAN_BUDGET).kind == "inconclusive"
+        counts.append(calls[0])
     assert counts[1] <= 5 * counts[0], counts
 
 

@@ -32,6 +32,7 @@ from limitlab.learnkit import PSD, wrap_learner
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_adversaries.py"
+DUMP_RELATIONS = ROOT / "scripts" / "dump_relations.py"
 
 EXPECTED_VARIANTS = {
     "coolsep-family-overgeneralizer": "WrongForever",
@@ -53,17 +54,22 @@ def load_script():
     return module
 
 
+def run_script(script, *args):
+    """Run a script in a fresh interpreter against this checkout's source."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(script), *args],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 @pytest.fixture(scope="module")
 def script_reports(tmp_path_factory):
     """The script's stdout and its report files, from one run."""
     out_dir = tmp_path_factory.mktemp("reports")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(out_dir)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    result = run_script(SCRIPT, "--out-dir", str(out_dir))
     return result.stdout, {path.stem: path.read_text(encoding="utf-8")
                            for path in out_dir.glob("*.json")}
 
@@ -124,3 +130,13 @@ def test_session_names_agree():
     assert set(which.choices) == set(SESSIONS)
     assert {name for name, _, _ in load_script().PAIRS} == set(SESSIONS)
     assert set(LIBRARY_SESSIONS) == set(SESSIONS)
+
+
+def test_dump_relations_matches_cli(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no limitlab.cfg
+    monkeypatch.delenv("LIMITLAB_CONFIG", raising=False)
+    dumped, printed = tmp_path / "script.json", tmp_path / "cli.json"
+    result = run_script(DUMP_RELATIONS, "--output", str(dumped))
+    assert "quotient DAG: True" in result.stdout
+    assert main(["relations", "--output", str(printed)]) == 0
+    assert dumped.read_bytes() == printed.read_bytes()

@@ -11,7 +11,7 @@ The protocol, kept by the ``Session`` base class:
 - A session class names its ``theorem``, the learner ``kind`` it needs and
   the ``Budgets`` field that holds its goal (``goal_field``).
 - Constructing a session takes a new session id from its registry, lets the
-  class allocate and bind its languages (``setup``) and only then resolves
+  class register its languages (``setup``) and only then resolves
   the learner: a factory is called with the session, so learners that
   consult the session registry share its indices, and a learner of another
   kind raises KindMismatchError.
@@ -149,7 +149,7 @@ class Session:
         self.learner = learner
 
     def setup(self) -> None:
-        """Allocate and bind the session's languages.  Runs before the
+        """Register the session's languages.  Runs before the
         learner is resolved, so their indices come before any that a
         learner factory allocates."""
 
@@ -234,9 +234,8 @@ class CoolsepSession(Session):
         self._family: dict[int, Index] = {}
         self._capped: dict[int, Index] = {}
         self._union_families: dict[frozenset[int], Index] = {}
-        self._e = self.registry.allocate()
-        self.registry.bind(self._e, Lazy("coolsep-union", self._enum_union,
-                                         self._decide_union))
+        self._e = self.registry.register(
+            Lazy("coolsep-union", self._enum_union, self._decide_union))
 
     # -- element codes ---------------------------------------------------
 
@@ -424,8 +423,7 @@ class GsmonSession(Session):
     theorem = "gsmon"
 
     def setup(self) -> None:
-        self._e = self.registry.allocate()
-        self.registry.bind(self._e, Lazy("gsmon-union", self._enum_we))
+        self._e = self.registry.register(Lazy("gsmon-union", self._enum_we))
         self._sigma: list[SequencePrefix] = [()]
         self._sigma_done = False
         self._steps: list[dict] = []
@@ -553,12 +551,10 @@ class TotalPsdSession(Session):
     total = True
 
     def setup(self) -> None:
-        self._e = self.registry.allocate()
-        self._e_prime = self.registry.allocate()
-        self.registry.bind(self._e, Lazy("totalpsd-e", self._enum_e,
-                                         self._decide_e))
-        self.registry.bind(self._e_prime, Lazy("totalpsd-e'", self._enum_e_prime,
-                                               self._decide_e_prime))
+        self._e = self.registry.register(
+            Lazy("totalpsd-e", self._enum_e, self._decide_e))
+        self._e_prime = self.registry.register(
+            Lazy("totalpsd-e'", self._enum_e_prime, self._decide_e_prime))
         self._p: dict[int, bool] = {}
         self._computing: list[int] = []
         self._codes: list[int] = []
@@ -706,8 +702,7 @@ class SdSession(Session):
     total = True
 
     def setup(self) -> None:
-        self._e = self.registry.allocate()
-        self.registry.bind(self._e, Lazy("sd-e", self._enum_e, self._decide_e))
+        self._e = self.registry.register(Lazy("sd-e", self._enum_e, self._decide_e))
         self._probe = self.own(0)
         self.registry.set_halting(self._probe, self._halt_step)
         self._codes: list[int] = []

@@ -19,7 +19,7 @@ from .hypospace import (
     pad,
     unpad,
 )
-from .learnkit import Learner, g_learner, psd_learner, sd_learner
+from .learnkit import SD, Learner, g_learner, psd_learner, sd_learner
 from .textkit import PAUSE, SequencePrefix, content, first
 
 
@@ -33,11 +33,10 @@ def odd_class_language(odd: int) -> frozenset[int]:
 class Workbench:
     """Registry plus the standing indices the canonical learners emit."""
 
-    def __init__(self, registry: Registry | None = None, bound: int = 100) -> None:
+    def __init__(self, registry: Registry | None = None) -> None:
         self.registry = registry if registry is not None else Registry()
-        self.bound = bound
-        self.evens = Decidable("evens", lambda x: x % 2 == 0, bound)
-        self.naturals = Decidable("naturals", lambda x: True, bound)
+        self.evens = Decidable("evens", lambda x: x % 2 == 0, 100)
+        self.naturals = Decidable("naturals", lambda x: True, 100)
         self.e2N = self.registry.register(self.evens)
         self.p2 = self.registry.register(self.naturals)
         self.p0 = ind(())  # canonical code of the empty set
@@ -206,12 +205,8 @@ def always_change() -> Learner:
                        name="always-change")
 
 
-def constant_learner(index: Index, kind: str = "Sd") -> Learner:
-    if kind == "Sd":
-        return sd_learner(lambda d: index, name="constant")
-    if kind == "Psd":
-        return psd_learner(lambda view: index, name="constant")
-    return g_learner(lambda sigma: index, name="constant")
+def constant_learner(index: Index, kind: str = SD) -> Learner:
+    return Learner(kind, "constant", lambda view, budget: index)
 
 
 def family_overgeneralizer(session) -> Learner:
@@ -236,7 +231,7 @@ def family_overgeneralizer(session) -> Learner:
     return psd_learner(h, name="family-overgeneralizer")
 
 
-def coolsep_learner(session, name: str = "coolsep") -> Learner:
+def coolsep_learner(session) -> Learner:
     """Full-information learner dispatching on the program of the largest
     element seen, as realized by the self-learning session."""
 
@@ -275,7 +270,7 @@ def coolsep_learner(session, name: str = "coolsep") -> Learner:
                 return session.capped_index(k_max)
         return session.union_index()
 
-    return g_learner(h, name=name)
+    return g_learner(h, name="coolsep")
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,10 @@ not establish within its budgets.
 A monotonicity witness (n, m, x) is the least in the order of n, then m,
 then x.  One scan finds it for every kind of hypothesis: each element is
 checked from the first run that enumerates it against each later run, up
-to its first miss, in about (runs) x (elements) ``decide`` calls.
+to its first miss, in about (runs) x (elements) ``decide`` calls.  Only an
+exact witness refutes, one whose x is decided out of the later hypothesis.
+A membership that no ``decide`` settled yields at most a budget-tier near
+witness, in an inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -180,32 +183,28 @@ def check_bc(registry: Registry, seq: LearningSequence, text: Text, target,
 # Monotonicity criteria
 
 def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
-                       target_decide, allow_budget_witness: bool
-                       ) -> tuple[MonWitness | None, bool]:
+                       target_decide) -> tuple[MonWitness | None, bool]:
     """Shared scan for SMon/Mon.  ``target_decide`` restricts witness
-    elements (None for SMon; elements it cannot place are skipped, like
-    those it rules out).  Returns (witness, settled).
+    elements (None for SMon).  Returns (witness, settled).
 
     The witness is the least (n, m, x) in the order of n, then m, then x:
     n and m start runs of equal entries, x is enumerated for the hypothesis
-    of n's run and, for an exact witness, decided out of the differing
-    hypothesis of m's run; a budget-tier witness instead meets an undecided
-    membership that the budget's enumeration does not show either.  With
-    ``allow_budget_witness`` the least witness of either tier is returned,
-    otherwise the least exact one, or failing that the least budget-tier
-    one as a near witness.
+    of n's run and decided out of the differing hypothesis of m's run.
+    Only such an exact witness refutes.  Failing one, the scan returns the
+    least budget-tier witness as a near witness: x meets an undecided
+    membership that the budget's enumeration does not show either.
 
     A hypothesis that enumerates x never decides x out (structural
     descriptors do not, and neither may a ``Lazy``).  So every witness for
     x also appears at a(x), the first run that enumerates x, and each
     element is checked from a(x) against each later differing hypothesis
     until its first miss, in about (runs) x (elements) ``decide`` calls.
-    Once a witness that refutes is held, elements admitted at or after its
-    run cannot beat it and are dropped.
+    Once an exact witness is held, elements admitted at or after its run
+    cannot beat it and are dropped.
 
     ``settled`` is true when every hypothesis is None or exact and no
-    ``decide`` answered NOT_DECIDABLE; it only counts when no witness
-    refutes.
+    ``decide`` answered NOT_DECIDABLE; it only counts when there is no
+    exact witness.
     """
     runs = _runs(seq)
     settled = all(hyp is None or registry.is_exact(hyp) for _, hyp in runs)
@@ -213,12 +212,6 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
     live: dict[int, tuple[int, Index]] = {}  # x -> (a(x), hypothesis of a(x))
     # The least (a, b, x, tier) of each tier, with a and b as run numbers.
     exact = near = None
-
-    def refuting():
-        if allow_budget_witness and near is not None:
-            return min(near, exact or near)
-        return exact
-
     for b, (_, hyp_b) in enumerate(runs):
         if hyp_b is None:
             continue
@@ -235,9 +228,8 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
                 if ((near is None or (a, b, x) < near[:3])
                         and not registry.member(hyp_b, x, budget)):
                     near = (a, b, x, "budget")
-        held = refuting()
-        if held is not None:
-            live = {x: v for x, v in live.items() if v[0] < held[0]}
+        if exact is not None:
+            live = {x: v for x, v in live.items() if v[0] < exact[0]}
             if not live:
                 break
             continue
@@ -245,7 +237,7 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
             seen.add(x)
             if target_decide is None or target_decide(x):
                 live[x] = (b, hyp_b)
-    best = refuting() or near
+    best = exact or near
     if best is None:
         return None, settled
     a, b, x, tier = best
@@ -253,58 +245,45 @@ def _monotonicity_scan(registry: Registry, seq: LearningSequence, budget: int,
                       budget if tier == "budget" else None), settled
 
 
-def check_smon(registry: Registry, seq: LearningSequence, budget: int,
-               allow_budget_witness: bool = False) -> Verdict:
-    """Hypotheses must form a subset chain of languages."""
-    witness, settled = _monotonicity_scan(
-        registry, seq, budget, None, allow_budget_witness)
-    if witness is not None and (witness.tier == "exact" or allow_budget_witness):
-        return Verdict("smon", REFUTED, witness=witness)
+def _check_monotone(criterion: str, registry: Registry, seq: LearningSequence,
+                    budget: int, target_decide, confirmable: bool) -> Verdict:
+    """Refuted on an exact witness; confirmed only when ``confirmable`` and
+    the scan settled every membership it needed; otherwise inconclusive,
+    with the near witness if there is one."""
+    witness, settled = _monotonicity_scan(registry, seq, budget, target_decide)
+    if witness is not None and witness.tier == "exact":
+        return Verdict(criterion, REFUTED, witness=witness)
     if any(entry is None for entry in seq):
-        return Verdict("smon", INCONCLUSIVE, reason="undefined entries")
-    if settled:
-        return Verdict("smon", CONFIRMED)
-    return Verdict("smon", INCONCLUSIVE, reason="budget exhausted",
+        return Verdict(criterion, INCONCLUSIVE, reason="undefined entries")
+    if settled and confirmable:
+        return Verdict(criterion, CONFIRMED)
+    return Verdict(criterion, INCONCLUSIVE, reason="budget exhausted",
                    evidence={"near_witness": witness.to_json() if witness else None})
+
+
+def check_smon(registry: Registry, seq: LearningSequence, budget: int) -> Verdict:
+    """Hypotheses must form a subset chain of languages."""
+    return _check_monotone("smon", registry, seq, budget, None, True)
 
 
 def check_mon(registry: Registry, seq: LearningSequence, text: Text,
-              budget: int, allow_budget_witness: bool = False) -> Verdict:
+              budget: int) -> Verdict:
     """Like check_smon, but a violation only counts on elements of the
-    text's declared content."""
+    text's declared content.  A Finite or Decidable content decides each
+    element; any other (session-generated) content counts only the elements
+    its enumeration shows within the budget, and such a check is never
+    confirmed."""
     desc = text.content_descriptor
     if desc is None:
         return Verdict("mon", INCONCLUSIVE, reason="text has no declared content")
-    semi_decidable = not _desc_exact(desc)
-    if semi_decidable:
-        # Session-generated texts: restrict to elements already enumerated.
-        known = _desc_known(desc, budget)
-        target_decide = lambda x: True if x in known else None
-    else:
-        target_decide = lambda x: descriptor_decides(desc, x)
-    witness, settled = _monotonicity_scan(
-        registry, seq, budget, target_decide, allow_budget_witness)
-    if witness is not None and (witness.tier == "exact" or allow_budget_witness):
-        v = Verdict("mon", REFUTED, witness=witness)
-        if semi_decidable:
-            v.evidence["content_check"] = "restricted to enumerated elements"
-        return v
-    if any(entry is None for entry in seq):
-        return Verdict("mon", INCONCLUSIVE, reason="undefined entries")
-    if settled and not semi_decidable:
-        return Verdict("mon", CONFIRMED)
-    return Verdict("mon", INCONCLUSIVE, reason="budget exhausted",
-                   evidence={"near_witness": witness.to_json() if witness else None})
-
-
-def _desc_exact(desc) -> bool:
-    return isinstance(desc, (Decidable, Finite))
-
-
-def _desc_known(desc, budget: int) -> frozenset[int]:
-    if isinstance(desc, Lazy):
-        return desc.generate(budget)
-    return frozenset()
+    if isinstance(desc, (Finite, Decidable)):
+        return _check_monotone("mon", registry, seq, budget,
+                               lambda x: descriptor_decides(desc, x), True)
+    known = desc.generate(budget) if isinstance(desc, Lazy) else frozenset()
+    v = _check_monotone("mon", registry, seq, budget, known.__contains__, False)
+    if v.refuted:
+        v.evidence["content_check"] = "restricted to enumerated elements"
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -340,8 +319,7 @@ def mon_from_smon_witness(text: Text, witness: MonWitness,
 # Global (any-text) variants
 
 def check_global(restriction: str, h: Learner, texts: list[Text], horizon: int,
-                 budget: int, registry: Registry,
-                 allow_budget_witness: bool = False) -> Verdict:
+                 budget: int, registry: Registry) -> Verdict:
     """Apply the per-text checker to runs of the learner on every supplied
     text; any refutation refutes the global restriction."""
     if restriction not in ("mon", "smon"):
@@ -353,9 +331,9 @@ def check_global(restriction: str, h: Learner, texts: list[Text], horizon: int,
     for i, text in enumerate(texts):
         seq = run(h, text, horizon, budget)
         if restriction == "smon":
-            v = check_smon(registry, seq, budget, allow_budget_witness)
+            v = check_smon(registry, seq, budget)
         else:
-            v = check_mon(registry, seq, text, budget, allow_budget_witness)
+            v = check_mon(registry, seq, text, budget)
         if v.refuted:
             out = Verdict(f"global-{restriction}", REFUTED, witness=v.witness,
                           evidence={"text": text.label, "text_position": i})

@@ -67,9 +67,10 @@ class Finite:
 
 @dataclass(frozen=True)
 class Decidable:
-    """Exactly decidable language with a declared element bound used by
-    bounded equality checks.  ``enumerate`` scans the predicate up to the
-    budget, so enumeration is monotone by construction."""
+    """Exactly decidable language.  ``enumerate`` scans the predicate up to
+    the budget, so enumeration is monotone by construction.  The declared
+    ``bound`` is where a canonical text of the language stops scanning for
+    elements; bounded equality checks compare up to their own bound."""
 
     name: str
     pred: Callable[[int], bool]
@@ -340,7 +341,10 @@ class Registry:
 
     def lang_equal(self, e: Index, target: Descriptor, budget: int,
                    bound: int) -> LangEqual:
-        """Compare W_e against a decidable target up to the element bound.
+        """Compare W_e against a Finite or Decidable target: every target
+        element up to ``bound`` (every element of a finite target) must be
+        in W_e, and nothing W_e enumerates within the budget may lie
+        outside the target.
 
         A refutation is exact evidence; Confirmed means no discrepancy was
         found and the comparison was exhaustive for elements <= bound.
@@ -368,12 +372,12 @@ class Registry:
 
 
 def descriptor_elements(d: Descriptor, bound: int) -> list[int]:
-    """Ascending elements of a Finite/Decidable descriptor; a decidable
-    one's up to the lesser of ``bound`` and its own declared bound."""
+    """Ascending elements of a Finite/Decidable descriptor: all of a finite
+    one, a decidable one's up to ``bound``."""
     if isinstance(d, Finite):
         return sorted(d.elements)
     if isinstance(d, Decidable):
-        return [x for x in range(min(bound, d.bound) + 1) if d.pred(x)]
+        return [x for x in range(bound + 1) if d.pred(x)]
     raise ValueError("need a Finite or Decidable descriptor")
 
 

@@ -206,19 +206,6 @@ def table_key(kind: str, view: object) -> str:
     return format_prefix(view)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class TableLearner:
-    kind: str
-    mapping: dict[str, Index]
-    default: Index | None
-
-    def as_learner(self, name: str = "table") -> Learner:
-        def apply(view: object, budget: int) -> Index | None:
-            return self.mapping.get(table_key(self.kind, view), self.default)
-
-        return Learner(self.kind, name, apply)
-
-
 def load_table_learner(path: str | Path) -> Learner:
     """Parse the line-oriented table format.
 
@@ -261,7 +248,8 @@ def load_table_learner(path: str | Path) -> Learner:
         if key in mapping:
             raise DuplicateKeyError(line_no, key)
         mapping[key] = _parse_index(value_raw.strip(), line_no)
-    return TableLearner(kind, mapping, default).as_learner(name=f"@{path.name}")
+    return Learner(kind, f"@{path.name}",
+                   lambda view, budget: mapping.get(table_key(kind, view), default))
 
 
 def _parse_index(raw: str, line_no: int) -> Index:

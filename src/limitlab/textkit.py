@@ -7,8 +7,8 @@ Texts are total: ``at(n)`` answers for every position.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
+from itertools import chain, count, islice
 
 from .hypospace import Decidable, Descriptor, Finite
 
@@ -67,20 +67,31 @@ def format_prefix(sigma: Iterable[Item]) -> str:
 
 
 class Text:
-    """Total presentation with an optional declared content descriptor."""
+    """Total presentation with an optional declared content descriptor.
 
-    def __init__(self, item_at: Callable[[int], Item],
+    Items are drawn from the given iterable on demand, each once; past its
+    end the text answers ``PAUSE`` forever."""
+
+    def __init__(self, items: Iterable[Item],
                  content_descriptor: Descriptor | None = None,
                  label: str = "text") -> None:
-        self._item_at = item_at
+        self._source = iter(items)
+        self._items: list[Item] = []
         self.content_descriptor = content_descriptor
         self.label = label
 
     def at(self, n: int) -> Item:
-        return self._item_at(n)
+        items = self._items
+        if n >= len(items):
+            if self._source is not None:
+                items.extend(islice(self._source, n + 1 - len(items)))
+            if n >= len(items):
+                self._source = None  # drawn out
+                return PAUSE
+        return items[n]
 
     def prefix(self, n: int) -> SequencePrefix:
-        return tuple(self._item_at(i) for i in range(n))
+        return tuple(map(self.at, range(n)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Text({self.label!r})"
@@ -92,11 +103,7 @@ def finite_text(prefix: Iterable[Item],
     items = tuple(prefix)
     if content_descriptor is None:
         content_descriptor = Finite(content(items))
-
-    def at(n: int) -> Item:
-        return items[n] if n < len(items) else PAUSE
-
-    return Text(at, content_descriptor, label=f"finite:{format_prefix(items)}")
+    return Text(items, content_descriptor, label=f"finite:{format_prefix(items)}")
 
 
 def canonical_text(descriptor: Descriptor) -> Text:
@@ -106,56 +113,27 @@ def canonical_text(descriptor: Descriptor) -> Text:
         return finite_text(sorted(descriptor.elements), descriptor)
     if not isinstance(descriptor, Decidable):
         raise ValueError("canonical_text needs a Finite or Decidable descriptor")
-
-    cache: list[int] = []
-    scan_state = [0]
     # Safety net: a decidable language may be finite, in which case the
     # ascending scan must give way to pauses at some point.
-    scan_cap = descriptor.bound + 10_000
-
-    def at(n: int) -> Item:
-        while len(cache) <= n and scan_state[0] <= scan_cap:
-            x = scan_state[0]
-            if descriptor.pred(x):
-                cache.append(x)
-            scan_state[0] = x + 1
-        return cache[n] if n < len(cache) else PAUSE
-
-    return Text(at, descriptor, label=f"canonical:{descriptor.name}")
+    return Text(filter(descriptor.pred, range(descriptor.bound + 10_001)),
+                descriptor, label=f"canonical:{descriptor.name}")
 
 
-def stitched_text(blocks: Iterator[SequencePrefix] | Iterable[SequencePrefix],
+def stitched_text(blocks: Iterable[SequencePrefix],
                   content_descriptor: Descriptor | None = None,
                   label: str = "stitched") -> Text:
-    """Concatenation of on-demand blocks; if the block stream ends, pauses
+    """Concatenation of on-demand blocks: a block is drawn only when an item
+    past the previous ones is read.  If the block stream ends, pauses
     follow forever."""
-    it = iter(blocks)
-    items: list[Item] = []
-    exhausted = [False]
-
-    def at(n: int) -> Item:
-        while len(items) <= n and not exhausted[0]:
-            try:
-                items.extend(next(it))
-            except StopIteration:
-                exhausted[0] = True
-        return items[n] if n < len(items) else PAUSE
-
-    return Text(at, content_descriptor, label=label)
+    return Text(chain.from_iterable(blocks), content_descriptor, label=label)
 
 
 def insertion_text(base: Text, position: int, x: int,
                    content_descriptor: Descriptor | None = None) -> Text:
     """base[position] followed by x followed by the rest of base."""
-
-    def at(n: int) -> Item:
-        if n < position:
-            return base.at(n)
-        if n == position:
-            return x
-        return base.at(n - 1)
-
-    return Text(at, content_descriptor,
+    items = chain(map(base.at, range(position)), (x,),
+                  map(base.at, count(position)))
+    return Text(items, content_descriptor,
                 label=f"{base.label}+insert({x}@{position})")
 
 

@@ -119,6 +119,18 @@ def test_check_cut_short_horizon_inconclusive(capsys, criterion):
     assert code == 0 and verdict["verdict"] == "confirmed"
 
 
+@pytest.mark.parametrize("criterion", ["ex", "bc"])
+def test_check_compares_target_up_to_requested_bound(capsys, criterion):
+    # The copier's final hypothesis is 0..110, which the horizon shows, and
+    # the naturals up to bound 150 need 111 to be shown too.
+    code, verdict = run_json(capsys, "check", "--criterion", criterion,
+                             "--learner", "set-copier",
+                             "--text", ",".join(map(str, range(111))),
+                             "--target", "N", "--bound", "150", "--horizon", "120")
+    assert code == 3 and verdict["verdict"] == "inconclusive"
+    assert verdict["evidence"]["unshown"] == 111
+
+
 def test_trace_round_trip(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     assert main(["learn", "--learner", "thm3", "--text", "0,2,5",

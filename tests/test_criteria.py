@@ -112,6 +112,18 @@ def test_ex_bc_refute_once_target_shown_up_to_bound(wb):
             assert v.kind == kind, (check.__name__, horizon)
 
 
+def test_ex_bc_compare_target_up_to_requested_bound(wb):
+    # The naturals declare bound 100, but bound 150 asks for 101..150 too,
+    # and the final hypothesis lacks 111.
+    text = canonical_text(wb.naturals)
+    seq = [ind(range(111))] * 160
+    missing = {"kind": "refuted-missing", "element": 111, "reason": None}
+    ex = check_ex(wb.registry, seq, text, wb.naturals, 500, 150)
+    assert ex.refuted and ex.evidence["lang_equal"] == missing
+    bc = check_bc(wb.registry, seq, text, wb.naturals, 500, 150)
+    assert bc.refuted and bc.evidence["final"] == missing
+
+
 def test_ex_confirmed_implies_bc_confirmed(wb):
     rng = random.Random(1)
     for _ in range(30):
@@ -299,7 +311,7 @@ def _content(wb, spec):
 
 def _all_pairs_verdict(check, *args):
     def scan(*scan_args):
-        witness, all_exact, gaps = all_pairs_scan(*scan_args)
+        witness, all_exact, gaps = all_pairs_scan(*scan_args, False)
         return witness, all_exact and gaps == 0
 
     with pytest.MonkeyPatch.context() as mp:
@@ -329,28 +341,22 @@ def test_first_miss_scan_matches_all_pairs(specs, content_spec):
     text = finite_text((), desc)
     keep = ((lambda x: x in desc.generate(SCAN_BUDGET)) if isinstance(desc, Lazy)
             else (lambda x: descriptor_decides(desc, x)))
-    for allow in (False, True):
-        for check, args, oracle_keep in (
-                (check_smon, (wb.registry, seq, SCAN_BUDGET, allow), None),
-                (check_mon, (wb.registry, seq, text, SCAN_BUDGET, allow), keep)):
-            verdict = check(*args)
-            assert verdict.to_json() == _all_pairs_verdict(check, *args).to_json()
-            if allow:
-                continue
-            expected = first_violation(wb.registry, seq, SCAN_BUDGET, oracle_keep)
-            if expected is None:
-                assert not verdict.refuted
-            else:
-                w = verdict.witness
-                assert verdict.refuted and w.tier == "exact"
-                assert (w.n, w.m, w.x) == expected
+    for check, args, oracle_keep in (
+            (check_smon, (wb.registry, seq, SCAN_BUDGET), None),
+            (check_mon, (wb.registry, seq, text, SCAN_BUDGET), keep)):
+        verdict = check(*args)
+        assert verdict.to_json() == _all_pairs_verdict(check, *args).to_json()
+        expected = first_violation(wb.registry, seq, SCAN_BUDGET, oracle_keep)
+        if expected is None:
+            assert not verdict.refuted
+        else:
+            w = verdict.witness
+            assert verdict.refuted and w.tier == "exact"
+            assert (w.n, w.m, w.x) == expected
 
 
 def test_budget_witness_before_exact_one(wb):
     seq = [_hypothesis(wb, spec, {}) for spec in BUDGET_BEFORE_EXACT]
-    allowed = check_smon(wb.registry, seq, SCAN_BUDGET, allow_budget_witness=True)
-    assert allowed.refuted
-    assert allowed.witness == MonWitness(0, 1, 1, "budget", SCAN_BUDGET)
     exact = check_smon(wb.registry, seq, SCAN_BUDGET)
     assert exact.refuted and exact.witness == MonWitness(0, 2, 1)
 

@@ -72,6 +72,29 @@ def test_stitched_text():
     assert t.prefix(5) == (1, 2, 3, PAUSE, PAUSE)
 
 
+def test_texts_draw_items_on_demand():
+    # Blocks may call a learner (coolsep's witness text), so block k+1 is
+    # drawn only once an item past block k is read.
+    drawn = []
+
+    def blocks():
+        for k in range(3):
+            drawn.append(k)
+            yield (10 * k, 10 * k + 1)
+
+    t = stitched_text(blocks())
+    assert t.at(1) == 1 and drawn == [0]
+    assert t.prefix(2) == (0, 1) and drawn == [0]
+    assert t.at(2) == 10 and drawn == [0, 1]
+    assert t.at(6) == PAUSE and drawn == [0, 1, 2]
+
+    asked = []
+    evens = Decidable("evens", lambda x: asked.append(x) or x % 2 == 0, 100)
+    t = canonical_text(evens)
+    assert t.at(2) == 4 and asked == [0, 1, 2, 3, 4]
+    assert t.prefix(3) == (0, 2, 4) and asked == [0, 1, 2, 3, 4]
+
+
 def test_insertion_text():
     base = finite_text((0, 2, 5))
     t = insertion_text(base, 2, 9)
